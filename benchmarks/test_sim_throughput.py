@@ -11,7 +11,7 @@ import time
 from repro.params import cohort_config, msi_fcfs_config
 from repro.experiments import format_table
 from repro.obs import Telemetry
-from repro.sim.system import System, run_simulation
+from repro.sim.system import System
 from repro.workloads import splash_traces
 
 from bench_workloads import measure_lockstep
@@ -36,8 +36,10 @@ def test_simulator_throughput(benchmark):
             ("CoHoRT θ=60", "cohort", cohort_config([60] * 4)),
             ("MSI-FCFS", "msi_fcfs", msi_fcfs_config(4)),
         ):
+            # The per-event reference engine: run_simulation would send
+            # ocean x4 to lock-step, which the lockstep section covers.
             started = time.perf_counter()
-            stats = run_simulation(cfg, traces)
+            stats = System(cfg, traces).run()
             wall = time.perf_counter() - started
             rows.append(
                 [
@@ -65,7 +67,7 @@ def test_simulator_throughput(benchmark):
         off_cpu, on_cpu = [], []
         for _ in range(TELEMETRY_ROUNDS):
             started = time.process_time()
-            run_simulation(cohort_config([60] * 4), traces)
+            System(cohort_config([60] * 4), traces).run()
             off_cpu.append(time.process_time() - started)
             system = System(cohort_config([60] * 4), traces)
             Telemetry.attach(system, sample_every=500)
@@ -100,15 +102,15 @@ def test_simulator_throughput(benchmark):
         }
 
         # Lock-step engine: one pinned 64-config θ-sweep population over
-        # one shared timer_sweep trace set, batch vs the same 64 runs
-        # done sequentially on the fast path (interleaved median-of-N on
-        # CPU time, cycle identity asserted every round).  The speedup
-        # here is the headline claim of docs/performance.md and is
-        # gated in CI.
+        # one shared timer_sweep trace set, through run_simulation (which
+        # picks lock-step here) vs the same 64 runs on the per-event
+        # engine (interleaved median-of-N on CPU time, cycle identity
+        # asserted every round).  The speedup here is the headline claim
+        # of docs/performance.md and is gated in CI.
         ls = measure_lockstep()
         rows.append(
             [
-                f"lock-step batch ({ls['configs']} configs)",
+                f"lock-step sweep ({ls['configs']} configs)",
                 "-",
                 f"{ls['batch']['cpu_seconds']:.2f}",
                 "-",
@@ -117,7 +119,7 @@ def test_simulator_throughput(benchmark):
         )
         payload["lockstep"] = ls
         assert ls["speedup"] >= 5.0, (
-            f"lock-step batch speedup {ls['speedup']:.2f}x below the 5x "
+            f"lock-step speedup {ls['speedup']:.2f}x below the 5x "
             f"floor (rounds: {ls['speedups']})"
         )
         return rows, payload
@@ -138,6 +140,6 @@ def test_simulator_throughput(benchmark):
     )
     for row in rows:
         # Guard: at least 10^4 simulated cycles per second.  (The
-        # lock-step batch row reports no single cycle count.)
+        # lock-step sweep row reports no single cycle count.)
         if row[3] != "-":
             assert float(row[3].replace(",", "")) > 10_000, row

@@ -40,7 +40,7 @@ from repro.experiments import (
     run_wcml_experiment,
 )
 from repro.opt import GAConfig, OptimizationEngine
-from repro.sim.system import run_simulation
+from repro.sim.system import System, run_simulation
 from repro.workloads import benchmark_names, splash_traces
 
 
@@ -129,18 +129,13 @@ def _write_sweep_metrics(args: argparse.Namespace, runner,
     print(f"sweep metrics written to {args.metrics_out}")
 
 
-def _add_engine(
-    parser: argparse.ArgumentParser, default: str = "lockstep"
-) -> None:
-    # Single-simulation commands default to "fast": lock-step only pays
-    # off when a batch shares one trace set.
+def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--engine", choices=("seed", "fast", "lockstep"), default=default,
-        help="simulation engine: 'lockstep' amortises one trace across "
-             "same-trace sweep groups, 'fast' is the inline "
-             "hit-retirement path, 'seed' forces the event-per-access "
-             "reference engine; results are bit-identical across all "
-             f"three (default: {default})")
+        "--engine", choices=("lockstep", "seed"), default="lockstep",
+        help="simulation engine: 'lockstep' runs the lock-step engine "
+             "where it is supported and faster and the per-event engine "
+             "elsewhere, 'seed' forces the per-event reference engine; "
+             "results are bit-identical (default: lockstep)")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -413,8 +408,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
-    """The measured-objective GA: fitness by simulation, batched in
-    lock-step per generation (constraint C1 stays analytic)."""
+    """The measured-objective GA: fitness by simulation, one sweep-runner
+    batch per generation (constraint C1 stays analytic)."""
     import time
 
     from repro.opt import GeneticAlgorithm, SimulationFitness, TimerProblem
@@ -439,8 +434,8 @@ def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
           f"{result.evaluations}, wall time: {wall:.1f}s")
     tele = fit.telemetry()
     print(f"engine={tele['engine']}: {tele['jobs_executed']} simulations "
-          f"({tele['lockstep_jobs']} in {tele['lockstep_groups']} lock-step "
-          f"groups), {tele['cache_hits']} memoized")
+          f"({tele['lockstep_jobs']} on the lock-step engine), "
+          f"{tele['cache_hits']} memoized")
     rows = [
         [f"c{b.core_id}", b.m_hit, b.m_miss, b.wcl, b.wcml]
         for b in evaluation.bounds
@@ -615,23 +610,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         if args.trace_out or args.metrics_out:
             from repro.obs import Telemetry
-            from repro.sim.system import System
 
             # Telemetry needs the full event stream, which only the
-            # per-event engines publish; --engine is ignored here.
+            # per-event engine publishes; --engine is ignored here.
             system = System(config, traces)
             telemetry = Telemetry.attach(
                 system, sample_every=args.sample_every, label="simulate"
             )
             stats = system.run()
-        elif args.engine == "lockstep":
-            from repro.sim.lockstep import run_simulation_lockstep
-
-            stats = run_simulation_lockstep(config, traces)
+        elif args.engine == "seed":
+            stats = System(config, traces).run()
         else:
-            stats = run_simulation(
-                config, traces, fast_path=args.engine != "seed"
-            )
+            stats = run_simulation(config, traces)
     except CoherenceViolationError as exc:
         print(f"coherence violation: {exc}", file=sys.stderr)
         if not args.trace_out:
@@ -679,7 +669,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             args.manifest_out, "simulate",
             f"{source} thetas={args.thetas}",
             config=config, traces=traces, stats=stats_to_dict(stats),
-            engine="event" if telemetry is not None else args.engine,
+            engine=stats.engine,
             seed=args.seed,
             artifact_paths=[
                 p for p in (args.trace_out, args.metrics_out) if p
@@ -1070,8 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-fitness", action="store_true",
                    help="score timer vectors by *simulated* average memory "
                         "latency instead of the analytic WCML bound; each "
-                        "GA generation is batched through the lock-step "
-                        "engine (constraint C1 stays analytic)")
+                        "GA generation is one sweep-runner batch "
+                        "(constraint C1 stays analytic)")
     _add_metrics_out(p, "the per-generation GA log (JSON Lines)")
     _add_manifest_out(p)
     _add_engine(p)
@@ -1134,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time-series sampling cadence for the telemetry "
                         "counters (0 disables sampling; only active with "
                         "--trace-out/--metrics-out)")
-    _add_engine(p, default="fast")
+    _add_engine(p)
     _add_common(p)
     p.set_defaults(fn=cmd_simulate)
 

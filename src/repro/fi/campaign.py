@@ -22,7 +22,8 @@ on fault kind ``kinds[i % len(kinds)]`` with a seed derived from
 Everything in a :class:`CampaignReport` is derived from seeds and
 cycle-deterministic state — no wall-clock times — so the same
 ``(config, traces, campaigns, seed)`` always produces a byte-identical
-report, on either simulator engine (``fast_path=True/False``).
+report.  Campaigns run on the per-event engine: the oracle and the
+fault injector both need it.
 """
 
 from __future__ import annotations
@@ -202,7 +203,6 @@ def run_campaigns(
     n_faults: int = 2,
     response: str = "degrade_to_msi",
     detection_latency: int = 50,
-    fast_path: bool = True,
 ) -> CampaignReport:
     """Run ``campaigns`` seeded fault campaigns; return the report.
 
@@ -215,7 +215,7 @@ def run_campaigns(
         raise ValueError("need at least one campaign")
     pool = tuple(kinds) if kinds else ALL_KINDS
     checked = replace(config, check_coherence=True)
-    baseline = System(checked, traces, fast_path=fast_path).run()
+    baseline = System(checked, traces).run()
     horizon = max(1, baseline.final_cycle)
     # Generous watchdog: several baselines plus the longest timer window a
     # flipped register can open.  Idle waiting costs no events, so a large
@@ -236,7 +236,7 @@ def run_campaigns(
             response=response,
             detection_latency=detection_latency,
         )
-        system = System(watchdog, traces, fast_path=fast_path, fault_plan=plan)
+        system = System(watchdog, traces, fault_plan=plan)
         _program_default_luts(system, config)
         verdict, detail, final_cycle = _run_one(system)
         assert system.injector is not None

@@ -5,8 +5,9 @@ will suffer: *what* (a :class:`FaultKind`), *when* (an exact cycle),
 *where* (a core) and *how hard* (``arg``/``span``).  Plans are plain
 frozen data — generating one consumes randomness exactly once, from a
 :class:`random.Random` seeded by the caller, so the same seed always
-yields the same schedule on every platform and both simulator engines
-(``fast_path=True/False``) observe identical fault timing.
+yields the same schedule on every platform.  Armed plans run on the
+per-event engine (:func:`repro.sim.system.run_simulation` never routes
+a fault plan to the lock-step engine).
 
 The fault models are *hardware-level*: they perturb timer registers, a
 snoop response, the shared bus or the backend — never Python state the

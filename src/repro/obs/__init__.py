@@ -4,7 +4,7 @@ Everything in this package observes the simulator exclusively through
 :class:`~repro.sim.events.EventBus` subscriptions (plus one read-only
 kernel sampler) — attaching telemetry never changes simulated cycle
 counts, and nothing here subscribes to per-access ``hit`` events, so the
-engine's hot path stays on its fast path.
+engine keeps its inlined per-access hit path.
 
 Entry points:
 

@@ -61,8 +61,8 @@ RUNNER_COUNTERS = (
     ("cache_evictions", "Cache entries evicted by the size budget."),
     ("cache_evicted_bytes", "Bytes reclaimed by budget evictions."),
     ("cache_quarantined", "Corrupt cache envelopes moved to quarantine."),
-    ("lockstep_groups", "Same-trace groups run in lock-step."),
-    ("lockstep_jobs", "Jobs served by lock-step batches."),
+    ("lockstep_groups", "Runner batches that ran a lock-step job."),
+    ("lockstep_jobs", "Jobs run on the lock-step engine."),
     ("lockstep_peeled", "Jobs peeled to the per-event path."),
     ("trace_decode_hits", "Trace decode-cache hits."),
     ("trace_decode_misses", "Trace decode-cache misses."),

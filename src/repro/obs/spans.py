@@ -154,7 +154,7 @@ class SpanCollector:
     """Correlates the event stream into completed :class:`RequestSpan`\\ s.
 
     Subscribes by kind only (never to ``hit``): attaching one leaves
-    :attr:`EventBus.hot` false and the simulator's hit fast path intact.
+    :attr:`EventBus.hot` false and the simulator's inlined hit path intact.
     """
 
     #: Event kinds this collector consumes.

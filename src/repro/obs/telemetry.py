@@ -4,7 +4,7 @@
 onto a built (not yet run) :class:`~repro.sim.system.System` purely
 through :class:`~repro.sim.events.EventBus` subscriptions and one
 self-scheduling kernel sampler — no engine-layer code changes, and the
-per-access hit fast path stays untouched (nothing here subscribes to
+per-access hit path stays untouched (nothing here subscribes to
 ``hit``, so ``EventBus.hot`` stays false).
 
 After ``system.run()``, the façade turns the collected spans and

@@ -1,4 +1,4 @@
-"""Simulation-backed GA fitness, batched through the lock-step engine.
+"""Simulation-backed GA fitness, one sweep-runner batch per generation.
 
 The stock :class:`~repro.opt.problem.TimerProblem` objective is the
 *analytic* worst-case bound (static cache analysis + WCML formulas).
@@ -7,13 +7,13 @@ average memory latency of a full simulation over representative traces,
 while keeping constraint C1 analytic (worst-case requirements cannot be
 established by one measured run).
 
-It implements the GA's ``MapFn`` contract, which is where the lock-step
-engine earns its keep: every generation is a batch of timer vectors
-over the *same* traces, so the internal :class:`~repro.runner.
-SweepRunner` (``engine="lockstep"`` by default) decodes the trace once
-and advances all candidate configurations together — and memoizes each
-vector's result, so re-visited candidates across generations are cache
-hits, not simulations.
+It implements the GA's ``MapFn`` contract: every generation is a batch
+of timer vectors over the *same* traces, so the internal
+:class:`~repro.runner.SweepRunner` decodes the traces once per process
+(the decode memo is content-keyed), runs each candidate on the engine
+:func:`~repro.sim.system.run_simulation` picks (``engine="lockstep"``
+by default), and memoizes each vector's result, so re-visited
+candidates across generations are cache hits, not simulations.
 
 Usage::
 
@@ -111,5 +111,5 @@ class SimulationFitness:
         return objective * (1.0 + problem.PENALTY_WEIGHT * violation)
 
     def telemetry(self) -> dict:
-        """The internal runner's counters (lock-step groups, cache)."""
+        """The internal runner's counters (engines used, cache)."""
         return self.runner.telemetry()

@@ -43,9 +43,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.params import SimConfig, config_from_dict, config_to_dict
-from repro.sim.lockstep import lockstep_unsupported_reason, run_lockstep_batch
 from repro.sim.stats import STATS_SCHEMA_VERSION, SystemStats
-from repro.sim.system import run_simulation
+from repro.sim.system import System, run_simulation
 from repro.sim.trace import Trace, decode_stats
 
 #: Bump when the result schema or the simulation semantics change in a
@@ -147,16 +146,27 @@ class SweepJob:
         return h.hexdigest()
 
 
-def _execute(payload: tuple) -> dict:
+def _simulate(
+    config: SimConfig,
+    traces: Sequence[Trace],
+    record_latencies: bool,
+    engine: str,
+) -> SystemStats:
+    """One simulation: ``"seed"`` forces :class:`System`, ``"lockstep"``
+    lets :func:`run_simulation` pick the engine."""
+    if engine == "seed":
+        return System(config, traces, record_latencies=record_latencies).run()
+    return run_simulation(config, traces, record_latencies=record_latencies)
+
+
+def _execute(payload: tuple) -> Tuple[str, dict]:
     """Worker entry point: rebuild the job from primitives and simulate.
 
     Takes plain lists/dicts rather than live objects so the pickled task
-    stays small and version-independent.  The optional sixth element
-    selects the engine for this job (``"seed"`` disables the inline
-    fast path; both produce identical results).
+    stays small and version-independent.  Returns the name of the engine
+    that ran and the result dict.
     """
-    cfg_dict, check, max_cycles, record, raw_traces = payload[:5]
-    engine = payload[5] if len(payload) > 5 else "fast"
+    cfg_dict, check, max_cycles, record, raw_traces, engine = payload
     from dataclasses import replace
 
     config = replace(
@@ -165,14 +175,13 @@ def _execute(payload: tuple) -> dict:
         max_cycles=max_cycles,
     )
     traces = [Trace.from_arrays(g, o, a) for g, o, a in raw_traces]
-    stats = run_simulation(
-        config, traces, record_latencies=record,
-        fast_path=engine != "seed",
-    )
-    return stats_to_dict(stats)
+    stats = _simulate(config, traces, record, engine)
+    return stats.engine, stats_to_dict(stats)
 
 
-def _execute_payload(payload: tuple, timeout: Optional[float]) -> dict:
+def _execute_payload(
+    payload: tuple, timeout: Optional[float]
+) -> Tuple[str, dict]:
     """Worker entry point with an in-worker watchdog.
 
     The per-job timeout is enforced *inside* the worker with a real-time
@@ -196,7 +205,7 @@ def _execute_payload(payload: tuple, timeout: Optional[float]) -> dict:
         signal.signal(signal.SIGALRM, previous)
 
 
-def _job_payload(job: SweepJob, engine: str = "fast") -> tuple:
+def _job_payload(job: SweepJob, engine: str) -> tuple:
     return (
         config_to_dict(job.config),
         job.config.check_coherence,
@@ -215,7 +224,7 @@ class SweepRunner:
     """Runs batches of independent simulations, with caching.
 
     ``jobs == 1`` executes inline (no process pool, no pickling); any
-    higher value fans the *uncached* jobs out to worker processes.  The
+    higher value fans every *uncached* job out to worker processes.  The
     on-disk cache is shared between both modes and across runs; set
     ``cache_dir=None`` to disable persistence entirely.
 
@@ -244,15 +253,12 @@ class SweepRunner:
     #: default).  Tests use "fork" so monkeypatched module state
     #: propagates into workers.
     mp_context: Optional[str] = None
-    #: Simulation engine: ``"lockstep"`` (default) routes groups of
-    #: uncached jobs that share identical traces through
-    #: :func:`repro.sim.lockstep.run_lockstep_batch` — one shared trace
-    #: decode and batched hit classification per group, with configs the
-    #: lock-step engine cannot serve peeled back to the per-event path.
-    #: ``"fast"`` / ``"seed"`` force the inline-retirement or
-    #: event-per-access engine for every job.  Results are bit-identical
-    #: across all three (the cross-engine equivalence suite pins this),
-    #: so cache entries are shared between engines.
+    #: Simulation engine: ``"lockstep"`` (default) lets
+    #: :func:`repro.sim.system.run_simulation` pick the lock-step or the
+    #: per-event engine per job; ``"seed"`` forces the per-event
+    #: :class:`~repro.sim.system.System` for every job.  Results are
+    #: bit-identical either way (the cross-engine equivalence suite pins
+    #: this), so cache entries are shared between engines.
     engine: str = "lockstep"
     cache_hits: int = 0
     cache_misses: int = 0
@@ -290,20 +296,15 @@ class SweepRunner:
     #: Corrupt/truncated/mislabelled cache files moved to
     #: ``.quarantine/`` instead of being silently re-executed over.
     cache_quarantined: int = 0
-    #: Same-trace groups executed through the lock-step engine.
+    #: ``run()`` batches that executed at least one lock-step job.
     lockstep_groups: int = 0
-    #: Jobs served by lock-step batches (subset of ``jobs_executed``).
+    #: Jobs ``run_simulation`` ran on the lock-step engine (subset of
+    #: ``jobs_executed``).
     lockstep_jobs: int = 0
-    #: Jobs peeled out of a same-trace group because their configuration
-    #: is outside the lock-step engine's support (coherence checking on,
-    #: non-standard protocol); they ran on the per-event path instead.
+    #: Jobs ``run_simulation`` ran on the per-event engine instead
+    #: (coherence checking on, non-standard protocol, or a miss-heavy
+    #: trace); always 0 under ``engine="seed"``.
     lockstep_peeled: int = 0
-    #: Histogram ``{group size: count}`` of executed lock-step groups,
-    #: so telemetry distinguishes duplicate-digest dedup (PR 5) from
-    #: lock-step amortisation of *distinct* configs over one trace.
-    _lockstep_group_sizes: Dict[int, int] = field(
-        default_factory=dict, repr=False
-    )
     #: Optional structured operational logger (duck-typed: anything with
     #: an ``emit(event, **fields)`` method, normally
     #: :class:`repro.obs.ops.OpLogger`).  When set, the runner logs
@@ -316,10 +317,9 @@ class SweepRunner:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.engine not in ("seed", "fast", "lockstep"):
+        if self.engine not in ("seed", "lockstep"):
             raise ValueError(
-                f"engine must be 'seed', 'fast' or 'lockstep', "
-                f"got {self.engine!r}"
+                f"engine must be 'seed' or 'lockstep', got {self.engine!r}"
             )
         if self.cache_budget_bytes < 0:
             raise ValueError("cache_budget_bytes must be >= 0")
@@ -658,92 +658,41 @@ class SweepRunner:
                 first_slot[key] = i
                 pending.append(i)
 
-        def publish(slot: int, result: dict) -> None:
+        if not pending:
+            return results  # type: ignore[return-value]
+        started = time.perf_counter()
+        fresh: List[Tuple[str, dict]] = []
+        if self.jobs == 1:
+            for i in pending:
+                job = jobs[i]
+                stats = _simulate(
+                    job.config, job.traces, job.record_latencies, self.engine
+                )
+                fresh.append((stats.engine, stats_to_dict(stats)))
+        else:
+            fresh = self._run_parallel(
+                [_job_payload(jobs[i], self.engine) for i in pending]
+            )
+        self.exec_seconds += time.perf_counter() - started
+        self.jobs_executed += len(pending)
+        ran_lockstep = 0
+        for i, (engine, result) in zip(pending, fresh):
+            if engine == "lockstep":
+                ran_lockstep += 1
+            elif self.engine == "lockstep":
+                self.lockstep_peeled += 1
             # Normalise through JSON so fresh and cached results are
             # indistinguishable (e.g. tuples become lists).
             result = json.loads(json.dumps(result))
-            self._cache_store(keys[slot], result)
-            results[slot] = result
-            self._op_emit(
-                "execute", op_context, slot,
-                digest=keys[slot], engine=self.engine,
-            )
-            for dup in duplicates.get(keys[slot], ()):
+            self._cache_store(keys[i], result)
+            results[i] = result
+            self._op_emit("execute", op_context, i, digest=keys[i], engine=engine)
+            for dup in duplicates.get(keys[i], ()):
                 results[dup] = result
-
-        if pending and self.engine == "lockstep":
-            pending = self._run_lockstep_groups(jobs, pending, publish)
-
-        if pending:
-            # Lock-step leftovers (singletons, unsupported configs) run
-            # on the fast per-event path; only engine="seed" forces the
-            # event-per-access engine everywhere.
-            worker_engine = "seed" if self.engine == "seed" else "fast"
-            payloads = [_job_payload(jobs[i], worker_engine) for i in pending]
-            started = time.perf_counter()
-            if self.jobs == 1 or len(pending) == 1:
-                fresh = [_execute(p) for p in payloads]
-            else:
-                fresh = self._run_parallel(payloads)
-            self.exec_seconds += time.perf_counter() - started
-            self.jobs_executed += len(pending)
-            for i, result in zip(pending, fresh):
-                publish(i, result)
-        return results  # type: ignore[return-value]
-
-    def _run_lockstep_groups(
-        self,
-        jobs: Sequence[SweepJob],
-        pending: List[int],
-        publish,
-    ) -> List[int]:
-        """Execute same-trace groups of ``pending`` jobs in lock-step.
-
-        Groups the uncached jobs by trace content (plus the
-        ``record_latencies`` flag, which changes the result shape) and
-        evaluates every group of two or more supported configurations
-        through :func:`repro.sim.lockstep.run_lockstep_batch` — the
-        trace is decoded once and hit runs are classified in batch,
-        while each config keeps its own caches, bus and stats, so the
-        results are bit-identical to the per-event path.  Returns the
-        leftover job slots (singleton groups and unsupported configs)
-        for the normal execution path.
-        """
-        groups: Dict[Tuple[Tuple[str, ...], bool], List[int]] = {}
-        leftover: List[int] = []
-        for i in pending:
-            job = jobs[i]
-            if lockstep_unsupported_reason(job.config) is not None:
-                self.lockstep_peeled += 1
-                leftover.append(i)
-                continue
-            key = (
-                tuple(t.content_digest() for t in job.traces),
-                job.record_latencies,
-            )
-            groups.setdefault(key, []).append(i)
-        for key, slots in groups.items():
-            if len(slots) < 2:
-                leftover.extend(slots)
-                continue
-            started = time.perf_counter()
-            batch = run_lockstep_batch(
-                [jobs[i].config for i in slots],
-                list(jobs[slots[0]].traces),
-                record_latencies=key[1],
-            )
-            self.exec_seconds += time.perf_counter() - started
-            self.jobs_executed += len(slots)
+        if ran_lockstep:
             self.lockstep_groups += 1
-            self.lockstep_jobs += len(slots)
-            size = len(slots)
-            self._lockstep_group_sizes[size] = (
-                self._lockstep_group_sizes.get(size, 0) + 1
-            )
-            for i, stats in zip(slots, batch):
-                publish(i, stats_to_dict(stats))
-        leftover.sort()
-        return leftover
+            self.lockstep_jobs += ran_lockstep
+        return results  # type: ignore[return-value]
 
     # -- crash-contained parallel execution ----------------------------------
 
@@ -779,7 +728,7 @@ class SweepRunner:
             )
         self.job_retries += 1
 
-    def _run_parallel(self, payloads: List[tuple]) -> List[dict]:
+    def _run_parallel(self, payloads: List[tuple]) -> List[Tuple[str, dict]]:
         """Execute payloads on a process pool, one future per job.
 
         A worker crash breaks the whole ``ProcessPoolExecutor`` — every
@@ -793,7 +742,7 @@ class SweepRunner:
         """
         self.parallel_batches += 1
         workers = min(self.jobs, len(payloads))
-        results: List[Optional[dict]] = [None] * len(payloads)
+        results: List[Optional[Tuple[str, dict]]] = [None] * len(payloads)
         attempts = [0] * len(payloads)
         todo = list(range(len(payloads)))
         pool = self._make_pool(workers)
@@ -871,12 +820,6 @@ class SweepRunner:
             "lockstep_groups": self.lockstep_groups,
             "lockstep_jobs": self.lockstep_jobs,
             "lockstep_peeled": self.lockstep_peeled,
-            # {group size: count}; JSON object keys are strings so the
-            # shape survives a --metrics-out round-trip unchanged.
-            "lockstep_group_sizes": {
-                str(size): count
-                for size, count in sorted(self._lockstep_group_sizes.items())
-            },
             "trace_decode_hits": decode["hits"],
             "trace_decode_misses": decode["misses"],
         }

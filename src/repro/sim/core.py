@@ -13,13 +13,10 @@ subsequent trace entries **as long as they hit**, up to
 Run-ahead hits overlap with the miss latency, which is exactly the
 performance effect the timer-protected lines of CoHoRT amplify.
 
-Performance: consecutive hits are retired *inline* whenever
-:meth:`~repro.sim.kernel.EventKernel.advance_if_next` proves that the
-issue event the core would schedule is the next event to run anyway —
-no other core, timer or bus event can observe or change state in
-between, so skipping the heap round-trip is cycle-identical to the
-event-per-access path (``fast_path=False`` restores the latter; the
-regression suite asserts equivalence on random workloads).
+Every access is one kernel event.  The lock-step engine
+(:mod:`repro.sim.lockstep`) subclasses this core and redirects the two
+scheduling seams (:meth:`Core._schedule_issue`, :meth:`Core._schedule_ra`)
+to retire whole runs of hits per event instead.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ class Core:
         "system",
         "hit_latency",
         "runahead_window",
-        "fast_path",
         "_decoded",
         "_line_addrs",
         "_gaps",
@@ -70,14 +66,12 @@ class Core:
         line_bytes: int,
         hit_latency: int,
         runahead_window: int,
-        fast_path: bool = True,
     ) -> None:
         self.core_id = core_id
         self.trace = trace
         self.system = system
         self.hit_latency = hit_latency
         self.runahead_window = runahead_window
-        self.fast_path = fast_path
         # Plain Python lists: per-entry indexing of numpy arrays allocates
         # a numpy scalar per access, which dominates the replay loop.  The
         # lists come from the process-local decoded-trace cache, so a sweep
@@ -146,33 +140,10 @@ class Core:
             return
         system = self.system
         kernel = system.kernel
-        try_access = system.try_access
-        advance_if_next = kernel.advance_if_next
-        gaps = self._gaps
-        ops = self._ops
-        lines = self._line_addrs
-        core_id = self.core_id
-        hit_latency = self.hit_latency
-        n = len(gaps)
-        phase_core = system.PHASE_CORE
-        fast = self.fast_path
-        while True:
-            if not try_access(core_id, ops[index], lines[index], False):
-                break
-            retire = kernel._now + hit_latency
-            nxt = index + 1
-            if nxt >= n:
-                self.pos = nxt
-                self._finish(retire)
-                return
-            due = retire + gaps[nxt]
-            self.pos = nxt
-            if fast and advance_if_next(due, phase_core):
-                # The issue event for `nxt` would be the next event popped:
-                # retire it inline without touching the heap.
-                index = nxt
-                continue
-            self._schedule_issue(nxt, at=due)
+        if system.try_access(
+            self.core_id, self._ops[index], self._line_addrs[index], False
+        ):
+            self._advance(index + 1, retire_cycle=kernel._now + self.hit_latency)
             return
         # Miss: the system created and enqueued the coherence request.
         now = kernel._now
@@ -182,8 +153,8 @@ class Core:
         self._ra_blocked = None
         self._ra_exhausted = None
         nxt = index + 1
-        if self.runahead_window > 0 and nxt < n:
-            self._schedule_ra(nxt, at=now + gaps[nxt])
+        if self.runahead_window > 0 and nxt < self.num_entries:
+            self._schedule_ra(nxt, at=now + self._gaps[nxt])
         else:
             self._ra_exhausted = (nxt, now)
 
@@ -199,38 +170,22 @@ class Core:
         if epoch != self._epoch or self.state != CoreState.WAITING:
             return
         system = self.system
-        kernel = system.kernel
-        try_access = system.try_access
-        advance_if_next = kernel.advance_if_next
-        gaps = self._gaps
-        ops = self._ops
-        lines = self._line_addrs
-        core_id = self.core_id
-        hit_latency = self.hit_latency
-        window = self.runahead_window
-        n = len(gaps)
-        phase_core = system.PHASE_CORE
-        fast = self.fast_path
+        now = system.kernel._now
+        if not system.try_access(
+            self.core_id, self._ops[index], self._line_addrs[index], True
+        ):
+            self._ra_next = None
+            self._ra_blocked = (index, now)
+            return
+        retire = now + self.hit_latency
+        nxt = index + 1
         miss_index = self._miss_index
         assert miss_index is not None
-        while True:
-            if not try_access(core_id, ops[index], lines[index], True):
-                self._ra_next = None
-                self._ra_blocked = (index, kernel._now)
-                return
-            retire = kernel._now + hit_latency
-            nxt = index + 1
-            if nxt >= n or (nxt - miss_index) > window:
-                self._ra_next = None
-                self._ra_exhausted = (nxt, retire)
-                return
-            due = retire + gaps[nxt]
-            if fast and advance_if_next(due, phase_core):
-                self._ra_next = (nxt, due)
-                index = nxt
-                continue
-            self._schedule_ra(nxt, at=due)
+        if nxt >= self.num_entries or (nxt - miss_index) > self.runahead_window:
+            self._ra_next = None
+            self._ra_exhausted = (nxt, retire)
             return
+        self._schedule_ra(nxt, at=retire + self._gaps[nxt])
 
     # -- fill ---------------------------------------------------------------------
 

@@ -15,11 +15,7 @@ deterministic.
 Events are stored as ``(cycle, phase, seq, fn, args)`` tuples: callers
 pass a (typically bound-method) callable plus positional arguments
 instead of allocating a fresh closure per event, which keeps the
-per-event cost on the simulator's hot path low.  :meth:`advance_if_next`
-additionally lets a core retire consecutive private-cache hits *inline*
-(without any heap traffic) whenever the event it would schedule is
-provably the next one to run — see :mod:`repro.sim.core` and
-``docs/performance.md`` for the equivalence argument.
+per-event cost on the simulator's hot path low.
 """
 
 from __future__ import annotations
@@ -67,28 +63,6 @@ class EventKernel:
             )
         self._seq += 1
         heapq.heappush(self._heap, (cycle, phase, self._seq, fn, args))
-
-    def advance_if_next(self, cycle: int, phase: int) -> bool:
-        """Advance the clock to ``(cycle, phase)`` if no event precedes it.
-
-        Returns True (and sets :attr:`now` to ``cycle``) exactly when an
-        event scheduled now at ``(cycle, phase)`` would be the next one
-        popped from the heap: the caller may then run its handler inline
-        instead of scheduling it, with cycle-identical results.  A heap
-        entry at the *same* ``(cycle, phase)`` was scheduled earlier and
-        therefore wins the FIFO tie, so it refuses the fast path too.
-        """
-        heap = self._heap
-        if heap:
-            head = heap[0]
-            if head[0] < cycle or (head[0] == cycle and head[1] <= phase):
-                return False
-        if cycle > self._max_cycles:
-            raise SimulationLimitError(
-                f"simulation exceeded max_cycles={self._max_cycles}"
-            )
-        self._now = cycle
-        return True
 
     def run(self, max_cycles: int, until: Callable[[], bool]) -> int:
         """Process events until ``until()`` holds or the heap drains.

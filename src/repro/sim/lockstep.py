@@ -1,26 +1,27 @@
-"""The lock-step multi-config engine: amortise one trace across configs.
+"""The lock-step engine: replay runs of private-cache hits in bulk.
 
-The seed and ``fast_path`` engines pay one Python event (or at best one
-inlined ``try_access``) per memory access.  A parameter sweep or GA
-generation re-simulates the *same trace* under hundreds of timer/protocol
-configurations, so almost all of that per-access work is redundant: the
-trace decode is identical, and long runs of consecutive private-cache
-hits are fully determined by a tiny amount of per-config cache state.
+The per-event :class:`~repro.sim.system.System` pays one Python event
+per memory access.  A parameter sweep or GA generation re-simulates the
+*same trace* under hundreds of timer/protocol configurations, and long
+runs of consecutive private-cache hits are fully determined by a tiny
+amount of per-config cache state, so almost all of that per-access work
+is redundant.
 
 This module exploits that structure without giving up bit-identical
 results:
 
-* **Shared decode planes.**  All configs of a batch share one
-  :class:`~repro.sim.trace.DecodedTrace` per ``(trace, line_bytes)``:
-  line addresses, set indices and hit-chain due prefixes are computed
-  once (struct-of-arrays, one flat numpy plane per field).
+* **Shared decode planes.**  Every run over a trace shares one
+  :class:`~repro.sim.trace.DecodedTrace` per ``(trace, line_bytes)``
+  through the content-keyed decode memo: line addresses, set indices
+  and hit-chain due prefixes are computed once per process
+  (struct-of-arrays, one flat numpy plane per field).
 
-* **Mirrors + vectorised classification.**  Each config/core keeps two
-  flat arrays indexed by cache set: the line address the set can serve
-  for loads, and for stores (``-1`` when it cannot).  Whether access
-  ``k`` hits is then a pure array lookup, so a whole *run* of future
-  hits is classified with a handful of numpy ops instead of one Python
-  call per access.
+* **Mirrors + vectorised classification.**  Each core keeps two flat
+  arrays indexed by cache set: the line address the set can serve for
+  loads, and for stores (``-1`` when it cannot).  Whether access ``k``
+  hits is then a pure array lookup, so a whole *run* of future hits is
+  classified with a handful of numpy ops instead of one Python call per
+  access.
 
 * **Hit-run plans with lazy commit.**  When a core would issue, the
   engine scans forward to the first miss and schedules **one** kernel
@@ -35,16 +36,16 @@ results:
   re-scanned from the first uncommitted access.
 
 * **A lineage-ordered dispatcher.**  Boundary events of different cores
-  can collide on a cycle; the seed engine orders them by heap insertion
+  can collide on a cycle; the per-event engine orders them by heap insertion
   order, which the plans no longer reproduce.  A per-system dispatcher
   executes all same-cycle boundaries in exactly the seed's order by
   comparing event *lineages*: each planned access's virtual ancestor
   chain (previous accesses at their due cycles) down to the real kernel
   event that resumed the chain (a fill, or simulation start).
 
-Configs the plans cannot represent are *peeled*: they run on the
-ordinary per-event engine inside the same batch (see
-:func:`lockstep_unsupported_reason`).  Everything else — bus
+Runs the plans cannot represent, or would not speed up, stay on the
+per-event engine: :func:`repro.sim.system.run_simulation` picks the
+engine from :func:`lockstep_unsupported_reason`.  Everything else — bus
 arbitration, coherence requests, timers, write-backs, DRAM — runs
 through the unmodified engine/kernel machinery, which is what makes the
 cycle-level equivalence argument local to the hit path.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import heapq
 from functools import cmp_to_key
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,37 +74,70 @@ from repro.sim.messages import CoherenceRequest
 from repro.sim.private_cache import EvictedLine, PrivateCache
 from repro.sim.protocols import get_protocol
 from repro.sim.stats import SystemStats
-from repro.sim.system import System, run_simulation
-from repro.sim.trace import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.fi.plan import FaultPlan
+from repro.sim.system import System
+from repro.sim.trace import Trace, decode_trace
 
 __all__ = [
+    "LOCKSTEP_MAX_MISS_RATIO",
     "LockstepSystem",
     "LockstepUnsupported",
+    "estimated_miss_ratio",
     "lockstep_unsupported_reason",
-    "run_lockstep_batch",
-    "run_simulation_lockstep",
-    "batch_stats",
 ]
+
+#: Lock-step only pays where hit runs are long.  Above this estimated
+#: private miss ratio (see :func:`estimated_miss_ratio`) the plan,
+#: boundary and dispatch overhead per miss outweighs the hits it
+#: batches, and the per-event engine is faster.  Measured (CPU time,
+#: cycles identical): lock-step wins on timer_sweep 4×40k (estimate
+#: 0.0015, 5.9×), ocean×4 (0.003, 1.6×) and timer_sweep 4×10k (0.006,
+#: 2.3×) and breaks even on ocean×1 (0.016); it loses, at 0.64–0.93×,
+#: on every measured case at 0.026 or above — fft, lu, radix, barnes
+#: and water at scales 0.3–4, and timer_sweep 4×500 and 4×2000.
+#: docs/performance.md has the table (benchmarks/engine_table.py).
+LOCKSTEP_MAX_MISS_RATIO = 0.02
 
 
 class LockstepUnsupported(RuntimeError):
     """The configuration needs a slow path the plans cannot represent."""
 
 
-def lockstep_unsupported_reason(config: SimConfig) -> Optional[str]:
-    """Why ``config`` must be peeled to the per-event engine (or None).
+def estimated_miss_ratio(config: SimConfig, traces: Sequence[Trace]) -> float:
+    """Share of accesses whose direct-mapped L1 set last held another line.
+
+    Counted over all cores from the shared decode planes (memoised per
+    trace and geometry, so a sweep pays for it once per trace set).
+    """
+    l1 = config.l1
+    decoded = [decode_trace(t, l1.line_bytes) for t in traces]
+    total = sum(d.n for d in decoded)
+    if not total:
+        return 0.0
+    return sum(d.estimated_misses(l1.num_sets) for d in decoded) / total
+
+
+def lockstep_unsupported_reason(
+    config: SimConfig, traces: Optional[Sequence[Trace]] = None
+) -> Optional[str]:
+    """Why a run belongs on the per-event engine (or None).
 
     The lock-step hit plans assume the standard MSI-family hit predicate
     and defer per-hit side effects; configs that observe individual hits
-    run on the ordinary engine instead.
+    run on the ordinary engine instead.  With ``traces``, miss-heavy
+    workloads are refused too (see :data:`LOCKSTEP_MAX_MISS_RATIO`):
+    the engine could run them, only slower.
     """
     if not get_protocol(config.protocol).uses_standard_hits():
         return f"protocol {config.protocol!r} does not use the standard hit set"
     if config.check_coherence:
         return "check_coherence reads the oracle on every access"
+    if traces is not None:
+        ratio = estimated_miss_ratio(config, traces)
+        if ratio >= LOCKSTEP_MAX_MISS_RATIO:
+            return (
+                f"estimated miss ratio {ratio:.3f} is at or above "
+                f"{LOCKSTEP_MAX_MISS_RATIO}: hit runs too short to pay"
+            )
     return None
 
 
@@ -192,10 +226,6 @@ class LockstepCore(Core):
     coordinator, and ``on_fill`` materialises the pending run-ahead plan
     into the exact ``_ra_next`` / ``_ra_blocked`` / ``_ra_exhausted``
     state the inherited resume logic expects.
-
-    ``fast_path`` is forced off: inline hit retirement would advance the
-    clock past boundaries the coordinator tracks outside the heap, and
-    the plans batch hits far more aggressively anyway.
     """
 
     __slots__ = (
@@ -226,7 +256,6 @@ class LockstepCore(Core):
     )
 
     def __init__(self, coord: "LockstepCoordinator", **kwargs) -> None:
-        kwargs["fast_path"] = False
         super().__init__(**kwargs)
         self.coord = coord
         self._due_prefix = self._decoded.due_prefix(self.hit_latency)
@@ -340,7 +369,7 @@ class LockstepCoordinator:
         self._disp_at: Optional[int] = None
         self._core_stats = None
         self._hit_latency = system.config.latencies.hit
-        # Lock-step peels check_coherence configs, so golden writes can
+        # Lock-step refuses check_coherence configs, so golden writes can
         # skip the oracle's per-store check dispatch entirely.
         self._perform_write = system.oracle.unchecked_writer()
         self.plans = 0
@@ -830,8 +859,10 @@ class LockstepSystem(System):
     """A :class:`System` whose cores issue through lock-step hit plans.
 
     Drop-in for supported configs: same construction signature (minus
-    the engine flags), same :meth:`run` contract, bit-identical stats.
+    the fault plan), same :meth:`run` contract, bit-identical stats.
     """
+
+    ENGINE_NAME = "lockstep"
 
     def __init__(
         self,
@@ -843,9 +874,7 @@ class LockstepSystem(System):
         if reason is not None:
             raise LockstepUnsupported(reason)
         self.coord: Optional[LockstepCoordinator] = None
-        super().__init__(
-            config, traces, record_latencies=record_latencies, fast_path=False
-        )
+        super().__init__(config, traces, record_latencies=record_latencies)
         self.coord.finalize()
 
     # Factory seams --------------------------------------------------------
@@ -865,7 +894,7 @@ class LockstepSystem(System):
             cache.coord = self.coord
         return LockstepEngine(self)
 
-    def _make_core(self, core_id: int, trace: Trace, fast_path: bool) -> Core:
+    def _make_core(self, core_id: int, trace: Trace) -> Core:
         core = LockstepCore(
             coord=self.coord,
             core_id=core_id,
@@ -879,67 +908,9 @@ class LockstepSystem(System):
         return core
 
     def run(self) -> SystemStats:
-        """Run to completion; refuses per-hit subscribers (see peel rules)."""
+        """Run to completion; refuses per-hit event subscribers."""
         if self.events.hot:
             raise LockstepUnsupported(
                 "per-hit event subscribers require the per-event engine"
             )
         return super().run()
-
-
-# --------------------------------------------------------------------- batch
-
-#: Cumulative process-local batch counters (surfaced by sweep telemetry).
-batch_stats = {"batches": 0, "configs": 0, "peeled": 0}
-
-
-def run_simulation_lockstep(
-    config: SimConfig,
-    traces: Sequence[Trace],
-    record_latencies: bool = False,
-    fault_plan: Optional["FaultPlan"] = None,
-) -> SystemStats:
-    """Run one config on the lock-step engine (peeling when unsupported)."""
-    if fault_plan is not None or lockstep_unsupported_reason(config):
-        return run_simulation(
-            config, traces, record_latencies=record_latencies,
-            fast_path=True, fault_plan=fault_plan,
-        )
-    return LockstepSystem(config, traces, record_latencies=record_latencies).run()
-
-
-def run_lockstep_batch(
-    configs: Sequence[SimConfig],
-    traces: Sequence[Trace],
-    record_latencies: bool = False,
-    fault_plans: Optional[Sequence[Optional["FaultPlan"]]] = None,
-) -> List[SystemStats]:
-    """Evaluate every config against one shared trace set.
-
-    The batch shares all decode planes (lists, set indices, due
-    prefixes) across configs; configs the plans cannot represent are
-    peeled to the per-event engine transparently.  Results are exactly
-    ``[run_simulation(cfg, traces, ...) for cfg in configs]``.
-    """
-    if fault_plans is not None and len(fault_plans) != len(configs):
-        raise ValueError("fault_plans must align with configs")
-    batch_stats["batches"] += 1
-    results: List[SystemStats] = []
-    for i, config in enumerate(configs):
-        plan = fault_plans[i] if fault_plans is not None else None
-        batch_stats["configs"] += 1
-        if plan is not None or lockstep_unsupported_reason(config):
-            batch_stats["peeled"] += 1
-            results.append(
-                run_simulation(
-                    config, traces, record_latencies=record_latencies,
-                    fast_path=True, fault_plan=plan,
-                )
-            )
-        else:
-            results.append(
-                LockstepSystem(
-                    config, traces, record_latencies=record_latencies
-                ).run()
-            )
-    return results

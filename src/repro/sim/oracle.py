@@ -145,7 +145,7 @@ class CoherenceOracle:
         """A ``perform_write`` closure minus the coherence checks.
 
         For hot paths that have already excluded checked configurations
-        (the lock-step engine peels ``check_coherence=True``); raises if
+        (the lock-step engine refuses ``check_coherence=True``); raises if
         checking is on, since the closure would skip the single-writer
         check.
         """

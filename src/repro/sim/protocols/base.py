@@ -189,7 +189,7 @@ class CoherenceProtocol:
     def uses_standard_hits(self) -> bool:
         """True when the inlined hot-path hit predicate is valid.
 
-        The engine's per-access fast path hardcodes the MSI-family hit
+        The engine's per-access hit path hardcodes the MSI-family hit
         set (S/M serve loads, only M serves stores).  A protocol whose
         classify table declares exactly that HIT set may use it; any
         other table forces the general :meth:`classify` call per access.

@@ -9,7 +9,7 @@ DRAM fetches, back-invalidations, mode switches) are fed by
 :class:`StatsCollector`, an ordinary subscriber of the system's
 :class:`~repro.sim.events.EventBus` — the engine layers never update
 them directly.  Only the per-*hit* counters stay inline in the access
-fast path (hits are ~99% of accesses; see the event-bus module
+hit path (hits are ~99% of accesses; see the event-bus module
 docstring for the hot-path contract).
 """
 
@@ -95,6 +95,9 @@ class SystemStats:
     back_invalidations: int = 0
     mode_switches: int = 0
     final_cycle: int = 0
+    #: Which engine produced these stats (``"seed"`` or ``"lockstep"``);
+    #: not serialised, since every engine produces the same numbers.
+    engine: str = field(default="seed", compare=False)
     #: The event bus feeding the protocol-level counters (set when a
     #: :class:`StatsCollector` attaches); source of :meth:`layer_counts`.
     _event_bus: Optional[Any] = field(default=None, repr=False, compare=False)
@@ -149,7 +152,7 @@ class StatsCollector:
 
     One instance subscribes, by kind, to exactly the (rare) protocol
     events the legacy counters need; per-hit statistics remain inline in
-    the access fast path and are *not* routed through the bus.
+    the access hit path and are *not* routed through the bus.
     """
 
     #: Event kinds this collector consumes.

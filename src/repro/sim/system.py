@@ -19,11 +19,15 @@ no protocol logic itself:
 * the **oracle** (:mod:`repro.sim.oracle`) tracks golden values and — in
   the test-suite — checks the single-writer/read-latest invariants.
 
-What remains here: construction and wiring, the per-access hit fast
-path, bus arbitration scheduling, and the run-time mode-switch plumbing
-of Section VI.  The engine is event-driven but cycle-accurate: all
-activity happens at integer cycles, ordered by the phases of
+What remains here: construction and wiring, the inlined per-access hit
+predicate, bus arbitration scheduling, and the run-time mode-switch
+plumbing of Section VI.  The engine is event-driven but cycle-accurate:
+all activity happens at integer cycles, ordered by the phases of
 :mod:`repro.sim.kernel`.
+
+:func:`run_simulation` is the one place that chooses between this
+per-event engine and the lock-step engine of :mod:`repro.sim.lockstep`;
+both produce bit-identical stats.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ __all__ = [
 class System:
     """One simulated multi-core system executing a set of traces."""
 
+    #: Recorded in :attr:`SystemStats.engine`; the runner's ``"seed"``
+    #: engine choice forces this class.
+    ENGINE_NAME = "seed"
     PHASE_EFFECT = PHASE_EFFECT
     PHASE_CORE = PHASE_CORE
     PHASE_ARBITRATE = PHASE_ARBITRATE
@@ -75,15 +82,9 @@ class System:
         config: SimConfig,
         traces: Sequence[Trace],
         record_latencies: bool = False,
-        fast_path: bool = True,
         fault_plan: Optional["FaultPlan"] = None,
     ) -> None:
-        """``fast_path=False`` disables inline hit batching (one heap
-        event per access, the seed engine's behaviour); results are
-        cycle-identical either way — the flag exists so the regression
-        suite can assert exactly that.
-
-        ``fault_plan`` arms a :class:`repro.fi.injector.FaultInjector`
+        """``fault_plan`` arms a :class:`repro.fi.injector.FaultInjector`
         over this system; with the default ``None`` the fault layer is
         never imported or constructed and cycle counts are byte-identical
         to a build without it (the throughput gate asserts this)."""
@@ -112,7 +113,7 @@ class System:
         self.engine = self._make_engine()
         self.backend.attach(self)
         self.cores: List[Core] = [
-            self._make_core(i, traces[i], fast_path)
+            self._make_core(i, traces[i])
             for i in range(config.num_cores)
         ]
         self.stats = SystemStats(
@@ -122,7 +123,8 @@ class System:
                     request_latencies=[] if record_latencies else None,
                 )
                 for i in range(config.num_cores)
-            ]
+            ],
+            engine=self.ENGINE_NAME,
         )
         StatsCollector(self.stats).attach(self.events)
         # Hot-path shortcuts (avoid per-access attribute chains).
@@ -153,7 +155,7 @@ class System:
     # ------------------------------------------------------- factory seams
     #
     # Component construction is routed through overridable hooks so that
-    # alternative engines (the lock-step batch engine of
+    # alternative engines (the lock-step engine of
     # :mod:`repro.sim.lockstep`) can substitute instrumented subclasses
     # without touching the wiring above.  The defaults build exactly the
     # components the seed engine always built.
@@ -170,7 +172,7 @@ class System:
     def _make_engine(self) -> ProtocolEngine:
         return ProtocolEngine(self)
 
-    def _make_core(self, core_id: int, trace: Trace, fast_path: bool) -> Core:
+    def _make_core(self, core_id: int, trace: Trace) -> Core:
         return Core(
             core_id=core_id,
             trace=trace,
@@ -178,7 +180,6 @@ class System:
             line_bytes=self.config.l1.line_bytes,
             hit_latency=self.config.latencies.hit,
             runahead_window=self.config.runahead_window,
-            fast_path=fast_path,
         )
 
     # ------------------------------------------------------------ properties
@@ -430,11 +431,23 @@ def run_simulation(
     config: SimConfig,
     traces: Sequence[Trace],
     record_latencies: bool = False,
-    fast_path: bool = True,
     fault_plan: Optional["FaultPlan"] = None,
 ) -> SystemStats:
-    """Convenience wrapper: build a :class:`System`, run it, return stats."""
+    """Simulate ``traces`` under ``config`` on the faster engine; return stats.
+
+    Runs :class:`repro.sim.lockstep.LockstepSystem` when
+    :func:`~repro.sim.lockstep.lockstep_unsupported_reason` accepts the
+    config and traces and no fault plan is armed, and :class:`System`
+    otherwise.  ``stats.engine`` names the engine that ran.
+    """
+    # Imported here: the lock-step engine subclasses System.
+    from repro.sim.lockstep import LockstepSystem, lockstep_unsupported_reason
+
+    if fault_plan is None and lockstep_unsupported_reason(config, traces) is None:
+        return LockstepSystem(
+            config, traces, record_latencies=record_latencies
+        ).run()
     return System(
-        config, traces, record_latencies=record_latencies, fast_path=fast_path,
+        config, traces, record_latencies=record_latencies,
         fault_plan=fault_plan,
     ).run()

@@ -253,7 +253,7 @@ class DecodedTrace:
     __slots__ = (
         "n", "line_bytes", "lines", "gaps", "ops",
         "lines_np", "gaps_np", "ops_np", "store_mask", "store_pos",
-        "_set_idx", "_due_prefix",
+        "_set_idx", "_due_prefix", "_misses",
     )
 
     def __init__(self, trace: Trace, line_bytes: int) -> None:
@@ -271,6 +271,7 @@ class DecodedTrace:
         self.store_pos = np.flatnonzero(self.store_mask)
         self._set_idx: Dict[int, np.ndarray] = {}
         self._due_prefix: Dict[int, np.ndarray] = {}
+        self._misses: Dict[int, int] = {}
 
     def set_index(self, num_sets: int) -> np.ndarray:
         """Per-access direct-mapped set index (cached per geometry)."""
@@ -278,6 +279,26 @@ class DecodedTrace:
         if cached is None:
             cached = self.lines_np & (num_sets - 1)
             self._set_idx[num_sets] = cached
+        return cached
+
+    def estimated_misses(self, num_sets: int) -> int:
+        """Accesses whose direct-mapped set last held a different line.
+
+        A cheap stand-in for the private miss count (cold misses
+        included; coherence and timer effects ignored), cached per
+        geometry like :meth:`set_index`.  A stable sort by set puts each
+        access right after the previous access to its set, and equal
+        lines imply equal sets, so the hits are the equal neighbours.
+        """
+        cached = self._misses.get(num_sets)
+        if cached is None:
+            # Narrow set indices let numpy's stable sort use radix sort.
+            sets = self.set_index(num_sets).astype(
+                np.min_scalar_type(num_sets - 1)
+            )
+            lines = self.lines_np[np.argsort(sets, kind="stable")]
+            cached = self.n - int(np.count_nonzero(lines[1:] == lines[:-1]))
+            self._misses[num_sets] = cached
         return cached
 
     def due_prefix(self, hit_latency: int) -> np.ndarray:

@@ -205,7 +205,7 @@ def timer_sweep(
     (``touches_per_line`` word touches per line, one store per line —
     exactly the spatial reuse a timer window protects), with a light
     sprinkle of shared reads and rarer shared exchanges.  Miss rates
-    land around 0.3%, where lock-step batching pays off most; this is
+    land around 0.3%, where the lock-step engine pays off most; this is
     the workload of the ``lockstep`` throughput benchmark.
 
     Address-map care: with the reference 16 KiB direct-mapped L1

@@ -8,6 +8,7 @@ from repro.params import CacheGeometry, cohort_config, msi_fcfs_config
 from repro.sim.backend import LLCWithDRAM, MemoryBackend, PerfectLLC, build_backend
 from repro.sim.debug import ProtocolTracer
 from repro.sim.dram import FixedLatencyDRAM
+from repro.sim.lockstep import LockstepSystem
 from repro.sim.system import System, run_simulation
 from repro.workloads import splash_traces
 
@@ -156,12 +157,14 @@ class TestDRAMBackend:
         assert stats.back_invalidations == counts.get("back_invalidate", 0)
         assert stats.layer_counts().get("backend", 0) >= stats.dram_fetches
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_dram_backend_engines_agree(self, fast_path):
+    @pytest.mark.parametrize("lockstep", [True, False])
+    def test_dram_backend_engines_agree(self, lockstep):
+        """Either engine, unchecked, matches an oracle-checked run."""
         traces = splash_traces("fft", 2, scale=0.25, seed=3)
         config = tiny_llc_config()
-        stats = run_simulation(config, traces, fast_path=fast_path)
-        reference = run_simulation(config, traces, fast_path=True)
+        engine = LockstepSystem if lockstep else System
+        stats = engine(config, traces).run()
+        reference = System(replace(config, check_coherence=True), traces).run()
         assert stats.final_cycle == reference.final_cycle
         assert [c.hits for c in stats.cores] == [
             c.hits for c in reference.cores

@@ -4,8 +4,8 @@ The layered refactor (protocol tables / memory backend / event bus) must
 be *behaviour-preserving*: per-core cycle counts and stats on the
 reference workloads are pinned byte-for-byte in
 ``tests/data/cycle_reference_ocean4.json`` and checked here for both
-engines (inline hit batching on and off).  Any change to these numbers
-is a protocol-timing change and needs a deliberate reference update.
+engines (per-event and lock-step).  Any change to these numbers is a
+protocol-timing change and needs a deliberate reference update.
 """
 
 import json
@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from repro.params import cohort_config, msi_fcfs_config
-from repro.sim.system import run_simulation
+from repro.runner import SweepRunner
+from repro.sim.lockstep import LockstepSystem
+from repro.sim.system import System, run_simulation
 from repro.workloads import splash_traces
 
 REFERENCE = json.loads(
@@ -56,32 +58,37 @@ def _snapshot(stats):
 
 
 @pytest.mark.parametrize("system_key", sorted(CONFIGS))
-@pytest.mark.parametrize("fast_path", [True, False])
-def test_reference_workload_cycles_exact(system_key, fast_path):
+@pytest.mark.parametrize("lockstep", [True, False])
+def test_reference_workload_cycles_exact(system_key, lockstep):
     """Both engines reproduce the pinned reference stats exactly."""
-    stats = run_simulation(
-        CONFIGS[system_key](), _traces(), fast_path=fast_path
-    )
+    engine = LockstepSystem if lockstep else System
+    stats = engine(CONFIGS[system_key](), _traces()).run()
     assert _snapshot(stats) == REFERENCE["systems"][system_key]
 
 
 @pytest.mark.parametrize("system_key", sorted(CONFIGS))
 def test_reference_workload_cycles_exact_lockstep(system_key):
-    """The lock-step engine reproduces the pinned reference too."""
-    from repro.sim.lockstep import run_simulation_lockstep
-
-    stats = run_simulation_lockstep(CONFIGS[system_key](), _traces())
+    """``run_simulation`` sends ocean×4 to lock-step, pinned stats intact."""
+    stats = run_simulation(CONFIGS[system_key](), _traces())
+    assert stats.engine == "lockstep"
     assert _snapshot(stats) == REFERENCE["systems"][system_key]
 
 
 def test_reference_workload_cycles_exact_lockstep_batch():
-    """One batched lock-step run serves both reference configs exactly."""
-    from repro.sim.lockstep import run_lockstep_batch
-
-    keys = sorted(CONFIGS)
-    batch = run_lockstep_batch([CONFIGS[k]() for k in keys], _traces())
-    for key, stats in zip(keys, batch):
-        assert _snapshot(stats) == REFERENCE["systems"][key]
+    """One sweep-runner batch serves both reference configs exactly."""
+    runner = SweepRunner(cache_dir=None)
+    results = runner.run_systems(
+        {key: make() for key, make in CONFIGS.items()}, _traces()
+    )
+    assert runner.lockstep_jobs == len(CONFIGS)
+    for key, result in results.items():
+        want = REFERENCE["systems"][key]
+        got = {name: result[name] for name in want if name != "cores"}
+        got["cores"] = [
+            {name: core[name] for name in want["cores"][0]}
+            for core in result["cores"]
+        ]
+        assert got == want
 
 
 def test_reference_headline_cycles():

@@ -23,7 +23,7 @@ def make_manifest(**overrides):
     fields = dict(
         kind="simulate",
         label="unit",
-        engine="fast",
+        engine="seed",
         seed=0,
         config_fingerprint="c" * 64,
         traces=["a" * 40, "b" * 40],

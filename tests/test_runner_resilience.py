@@ -64,9 +64,6 @@ def resilient_runner(**kw) -> SweepRunner:
     kw.setdefault("cache_dir", None)
     kw.setdefault("mp_context", "fork")
     kw.setdefault("backoff_base", 0.001)
-    # These tests exercise the process-pool path; the lock-step default
-    # would serve the same-trace batch inline and never hit the pool.
-    kw.setdefault("engine", "fast")
     return SweepRunner(**kw)
 
 
@@ -157,6 +154,30 @@ class TestTimeouts:
         with pytest.raises(SweepExecutionError, match="timeout"):
             runner.run(batch_with_poison(traces))
         assert runner.job_timeouts == 2  # initial attempt + one retry
+
+
+class TestSameTraceSweeps:
+    def test_jobs_and_timeout_apply_to_same_trace_sweeps(
+        self, traces, monkeypatch
+    ):
+        """A θ-sweep over one trace set goes through the pool, so the
+        per-job watchdog sees it like any other batch."""
+        real_execute = runner_mod._execute
+
+        def slow(payload):
+            time.sleep(0.5)
+            return real_execute(payload)
+
+        monkeypatch.setattr(runner_mod, "_execute", slow)
+        runner = resilient_runner(jobs=4, timeout=0.001, max_retries=0)
+        jobs = [
+            SweepJob(cohort_config([theta, 20]), tuple(traces))
+            for theta in range(40, 120, 10)
+        ]
+        with pytest.raises(SweepExecutionError, match="timeout"):
+            runner.run(jobs)
+        assert runner.parallel_batches == 1
+        assert runner.job_timeouts >= 1
 
 
 class TestSimulationErrorsAreNotRetried:

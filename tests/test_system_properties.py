@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.params import MSI_THETA, MemOp, cohort_config, msi_fcfs_config
 from repro.analysis import build_profiles, cohort_bounds, wcl_miss
+from repro.sim.lockstep import LockstepSystem
 from repro.sim.system import System
 from repro.sim.trace import Trace
 
@@ -277,10 +278,11 @@ def test_determinism_same_seed_same_result(w):
     runahead=st.sampled_from([0, 4, 16]),
 )
 @settings(max_examples=80, deadline=None)
-def test_fast_path_is_cycle_identical_to_event_per_access(w, protocol, runahead):
-    """The batched-hit fast path must be indistinguishable from the seed
+def test_lockstep_is_cycle_identical_to_event_per_access(w, protocol, runahead):
+    """The lock-step engine must be indistinguishable from the per-event
     engine (one heap event per access): identical final cycle and
-    per-core statistics, with the coherence oracle enabled on both."""
+    per-core statistics.  The coherence oracle runs on the per-event
+    side; the lock-step engine refuses it, so that side runs unchecked."""
     seed, num_cores, n, shared, private, wr, gap_max, thetas = w
     traces = random_traces(seed, num_cores, n, shared, private, wr, gap_max)
     if protocol == "cohort":
@@ -288,14 +290,16 @@ def test_fast_path_is_cycle_identical_to_event_per_access(w, protocol, runahead)
     else:
         config = replace(msi_fcfs_config(num_cores), check_coherence=True)
     config = replace(config, runahead_window=runahead)
-    fast = System(config, traces, record_latencies=True, fast_path=True).run()
-    slow = System(config, traces, record_latencies=True, fast_path=False).run()
-    assert fast.final_cycle == slow.final_cycle, (
-        f"fast {fast.final_cycle} != slow {slow.final_cycle} "
+    lock = LockstepSystem(
+        replace(config, check_coherence=False), traces, record_latencies=True
+    ).run()
+    event = System(config, traces, record_latencies=True).run()
+    assert lock.final_cycle == event.final_cycle, (
+        f"lockstep {lock.final_cycle} != per-event {event.final_cycle} "
         f"(protocol={protocol}, ra={runahead}, thetas={thetas}, seed={seed})"
     )
     for i in range(num_cores):
-        f, s = fast.core(i), slow.core(i)
+        f, s = lock.core(i), event.core(i)
         assert (
             f.accesses,
             f.hits,
@@ -305,6 +309,7 @@ def test_fast_path_is_cycle_identical_to_event_per_access(w, protocol, runahead)
             f.total_memory_latency,
             f.max_request_latency,
             f.finish_cycle,
+            f.request_latencies,
         ) == (
             s.accesses,
             s.hits,
@@ -314,6 +319,7 @@ def test_fast_path_is_cycle_identical_to_event_per_access(w, protocol, runahead)
             s.total_memory_latency,
             s.max_request_latency,
             s.finish_cycle,
+            s.request_latencies,
         ), f"core {i} diverged (protocol={protocol}, ra={runahead}, seed={seed})"
 
 

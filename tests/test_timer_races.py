@@ -9,7 +9,7 @@ fires, the world may have changed under it.  Two races matter:
   that destroys the pending copy it was armed for.
 
 Both must stay coherent, live (no stuck requests) and cycle-identical
-across the two engines (inline hit batching on and off).  The tests
+across the two engines (per-event and lock-step).  The tests
 *construct* the same-cycle collision from a probe run instead of
 hard-coding cycle numbers: the probe measures when the interfering
 event happens, and the real run re-arms the timer (or schedules the
@@ -22,17 +22,28 @@ import pytest
 
 from repro.params import MSI_THETA, CacheGeometry, cohort_config
 from repro.sim.debug import ProtocolTracer
+from repro.sim.lockstep import LockstepSystem
 from repro.sim.system import System
 from repro.workloads import splash_traces
 
 from conftest import t
 
 
-def run_traced(config, traces, fast_path=True, setup=None):
-    system = System(
-        replace(config, check_coherence=True), traces, fast_path=fast_path
-    )
-    tracer = ProtocolTracer.attach(system)
+#: The event kinds the race assertions read.  Subscribing by kind (not
+#: to every event) keeps per-hit events off, which lock-step requires.
+TRACED_KINDS = ("fill", "back_invalidate", "timer_expiry", "mode_switch")
+
+
+def run_traced(config, traces, lockstep=False, setup=None):
+    """Run with a tracer: per-event with the coherence oracle on, or on
+    the lock-step engine, which refuses the oracle (it reads every
+    access)."""
+    if lockstep:
+        system = LockstepSystem(config, traces)
+    else:
+        system = System(replace(config, check_coherence=True), traces)
+    tracer = ProtocolTracer()
+    system.events.subscribe(tracer, kinds=TRACED_KINDS)
     if setup is not None:
         setup(system)
     stats = system.run()
@@ -59,9 +70,9 @@ class TestExpiryVsModeSwitch:
         assert expiries, "probe workload must produce timer expiries"
         return expiries[len(expiries) // 2].cycle
 
-    @pytest.mark.parametrize("fast_path", [True, False])
+    @pytest.mark.parametrize("lockstep", [True, False])
     @pytest.mark.parametrize("switch_phase", ["before", "after"])
-    def test_switch_to_msi_on_expiry_cycle(self, fast_path, switch_phase):
+    def test_switch_to_msi_on_expiry_cycle(self, lockstep, switch_phase):
         """All cores drop to MSI on the exact cycle an expiry fires.
 
         ``before`` lands the switch in the same kernel phase as the
@@ -83,7 +94,7 @@ class TestExpiryVsModeSwitch:
             system.kernel.schedule(at, phase, lambda: system.switch_mode(2))
 
         system, stats, tracer = run_traced(
-            self.CONFIG, self._traces(), fast_path=fast_path, setup=setup
+            self.CONFIG, self._traces(), lockstep=lockstep, setup=setup
         )
         switches = tracer.filter(kind="mode_switch")
         assert [ev.cycle for ev in switches] == [at]
@@ -117,10 +128,8 @@ class TestExpiryVsModeSwitch:
             system.kernel.schedule(at, phase, lambda: system.switch_mode(2))
 
         runs = [
-            run_traced(
-                self.CONFIG, self._traces(), fast_path=fp, setup=setup
-            )[1]
-            for fp in (True, False)
+            run_traced(self.CONFIG, self._traces(), lockstep=ls, setup=setup)[1]
+            for ls in (True, False)
         ]
         assert runs[0].final_cycle == runs[1].final_cycle
         assert core_snapshot(runs[0]) == core_snapshot(runs[1])
@@ -170,12 +179,12 @@ class TestExpiryVsBackInvalidate:
         assert requester_fills and requester_fills[0].cycle >= back_cycle
         return fill_cycle, back_cycle
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_expiry_on_back_invalidate_cycle(self, fast_path):
+    @pytest.mark.parametrize("lockstep", [True, False])
+    def test_expiry_on_back_invalidate_cycle(self, lockstep):
         fill_cycle, back_cycle = self._probe()
         theta = back_cycle - fill_cycle  # expiry at fill + θ == B
         system, stats, tracer = run_traced(
-            self._config(theta), self._traces(), fast_path=fast_path
+            self._config(theta), self._traces(), lockstep=lockstep
         )
         # Prefixes are identical up to B, so the collision still happens
         # there — now with the expiry scheduled for the very same cycle.
@@ -185,7 +194,8 @@ class TestExpiryVsBackInvalidate:
         # still fires for the line fires on that cycle, not later.
         for ev in tracer.filter(kind="timer_expiry", core=0, line=0):
             assert ev.cycle == back_cycle
-        # Liveness + coherence: every access completed, oracle was on.
+        # Liveness + coherence: every access completed (the oracle was
+        # on for the per-event run).
         for i, trace in enumerate(self._traces()):
             assert stats.core(i).accesses == len(trace)
 
@@ -193,8 +203,8 @@ class TestExpiryVsBackInvalidate:
         fill_cycle, back_cycle = self._probe()
         theta = back_cycle - fill_cycle
         runs = [
-            run_traced(self._config(theta), self._traces(), fast_path=fp)[1]
-            for fp in (True, False)
+            run_traced(self._config(theta), self._traces(), lockstep=ls)[1]
+            for ls in (True, False)
         ]
         assert runs[0].final_cycle == runs[1].final_cycle
         assert core_snapshot(runs[0]) == core_snapshot(runs[1])

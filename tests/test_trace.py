@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.params import MemOp
-from repro.sim.trace import Trace, TraceAccess, merge_stats
+from repro.sim.trace import Trace, TraceAccess, decode_trace, merge_stats
 
 from conftest import t
 
@@ -132,3 +132,36 @@ class TestMergeStats:
         a = t([(0, "R", 1)])
         b = t([(0, "R", 2)])
         assert merge_stats([a, b], 64) == (2, 0)
+
+
+class TestEstimatedMisses:
+    """The numpy miss estimate against a plain per-access loop."""
+
+    @staticmethod
+    def loop_estimate(trace, line_bytes, num_sets):
+        last = {}
+        misses = 0
+        for access in trace:
+            line = access.addr // line_bytes
+            if last.get(line % num_sets) != line:
+                misses += 1
+            last[line % num_sets] = line
+        return misses
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("num_sets", [1, 4, 256, 1024])
+    def test_matches_loop(self, seed, num_sets):
+        rng = np.random.default_rng(seed)
+        n = 500
+        trace = Trace.from_arrays(
+            rng.integers(0, 5, n),
+            rng.integers(0, 2, n),
+            rng.integers(0, 64 * 3 * num_sets, n),
+        )
+        decoded = decode_trace(trace, 64)
+        assert decoded.estimated_misses(num_sets) == self.loop_estimate(
+            trace, 64, num_sets
+        )
+
+    def test_empty_trace(self):
+        assert decode_trace(Trace(), 64).estimated_misses(256) == 0
