@@ -12,7 +12,9 @@ Poisson generator (:mod:`repro.serve.loadgen`) in three phases:
 2. **Ramp** — short open-loop windows at geometrically increasing
    arrival rates until the fleet saturates (sustained throughput falls
    behind the offered rate, or backpressure dominates).  The best
-   sustained rate observed is the *knee*.
+   sustained rate observed is the *knee*; when even the top rung does
+   not saturate, the trajectory says ``knee_saturated: false`` and the
+   rate is only a lower bound on capacity.
 3. **Plateau** — a sustained hold just below the knee.  Queue-wait is
    measured from the *serve shards' own histograms* (before/after
    per-bucket deltas, so only plateau requests count), the warm hit
@@ -165,7 +167,6 @@ def main():
         shards=SHARDS,
         fleet_dir=fleet_dir,
         cache_dir=os.path.join(fleet_dir, "cache"),
-        batch_window=0.02,
         admission_limit=512,
         shard_queue_limit=128,
         oplog=OpLogger(path=oplog_path, component="fleet"),
@@ -187,6 +188,9 @@ def main():
         # Phase 2: ramp to the knee.
         ramp = []
         knee_rps = 0.0
+        # False when even the top rung did not saturate: knee_rps is
+        # then a lower bound on capacity, not a knee.
+        knee_saturated = False
         rate = RAMP_START_RPS
         for rung in range(RAMP_MAX_RUNGS):
             report = run_window(
@@ -207,22 +211,16 @@ def main():
                 f"{doc['sustained_rps']:.1f} rps, 429 "
                 f"{doc['ratio_429']:.2f}"
             )
-            # Cap the rung's contribution at its *accepted* rate: a
-            # shed-heavy rung completes its backlog during the drain
-            # tail, which inflates sustained_rps past what the fleet
-            # actually admitted per second — and a knee overestimated
-            # that way makes the plateau over-offer and fail its own
-            # backpressure ceiling.
-            accepted_rps = (
-                doc["accepted"] / doc["window_s"] if doc["window_s"] else 0.0
-            )
-            knee_rps = max(knee_rps, min(doc["sustained_rps"], accepted_rps))
-            saturated = (
+            # sustained_rps counts only completions inside the window,
+            # so a rung that parks its backlog for the drain tail cannot
+            # inflate the knee past what the fleet really sustained.
+            knee_rps = max(knee_rps, doc["sustained_rps"])
+            knee_saturated = (
                 doc["ratio_429"] > RAMP_429_CEILING
                 or doc["sustained_rps"]
                 < SATURATION_FRACTION * doc["offered_rps"]
             )
-            if saturated:
+            if knee_saturated:
                 break
             rate *= 2
         if knee_rps <= 0:
@@ -320,6 +318,7 @@ def main():
                 "population": POPULATION,
                 "ramp": ramp,
                 "knee_rps": knee_rps,
+                "knee_saturated": knee_saturated,
                 "plateau": plateau_doc,
                 "sustained_rps": plateau_doc["sustained_rps"],
                 "queue_wait_p99_ms": metrics["queue_wait_p99_ms"],
@@ -332,7 +331,9 @@ def main():
 
     manifest = build_manifest(
         "capacity",
-        f"{SHARDS} shards, knee {knee_rps:.0f} rps, "
+        f"{SHARDS} shards, "
+        f"{'knee' if knee_saturated else 'unsaturated top rung'} "
+        f"{knee_rps:.0f} rps, "
         f"plateau {plateau_rate:.0f} rps x {PLATEAU_S:.0f}s",
         metrics=metrics,
         artifact_paths=[snapshot_path, oplog_path, bench_path],

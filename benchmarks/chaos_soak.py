@@ -232,7 +232,6 @@ def main():
         fleet_dir=fleet_dir,
         cache_dir=cache_dir,
         cache_budget_bytes=budget,
-        batch_window=0.02,
         health_interval=0.1,
         heartbeat_timeout=0.5,
         heartbeat_deadline=1.5,

@@ -844,7 +844,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         shard_jobs=args.jobs,
         max_batch=args.max_batch,
-        batch_window=args.batch_window,
         shard_queue_limit=args.queue_limit,
         engine=args.engine,
         job_timeout=args.job_timeout,
@@ -1196,11 +1195,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--jobs", type=_positive_int, default=1,
                    help="worker processes per shard's sweep runner")
     p.add_argument("--max-batch", type=_positive_int, default=8,
-                   help="largest chunk dispatched to one shard at once")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="per-shard batching window in seconds")
+                   help="largest chunk forwarded to one shard at once "
+                        "(the fleet's only batch: shards run without a "
+                        "batching window)")
     p.add_argument("--queue-limit", type=_positive_int, default=64,
-                   help="per-shard admission queue bound")
+                   help="per-shard admission queue bound; the router "
+                        "keeps at most this many jobs in flight per shard")
     p.add_argument("--admission-limit", type=_positive_int, default=256,
                    help="fleet-wide pending-job bound; beyond it "
                         "submissions get 429 + Retry-After")

@@ -11,6 +11,14 @@ hardened on-disk result cache — and puts a supervising router in front:
   submissions of the same spec land on the same shard and its warm
   in-process memo, while the shared cache directory backstops every
   shard with cross-shard warm replication.
+* **Dispatch** — a pipeline per shard.  The *dispatcher* forwards up
+  to ``max_batch`` queued jobs as one ``POST /jobs`` and takes the
+  next chunk without waiting for the last, keeping at most
+  ``shard_queue_limit`` jobs in flight per shard (so the router never
+  causes its own 429s).  The *collector* chases every in-flight job
+  with one batched ``POST /jobs/poll`` per pass, pausing
+  :data:`COLLECT_INTERVAL` seconds between passes.  The chunk is the
+  fleet's only batch: shards run with no batching window of their own.
 * **Durability** — every accepted job is appended to a per-shard
   write-ahead intake journal (schema-versioned JSONL,
   :data:`repro.obs.schema.INTAKE_JOURNAL_SCHEMA`) and ``fsync``'d
@@ -72,6 +80,10 @@ __all__ = [
     "WriteAheadJournal",
     "run_fleet",
 ]
+
+
+#: Seconds a collector pauses between its batched polls of one shard.
+COLLECT_INTERVAL = 0.01
 
 
 def free_port(host: str = "127.0.0.1") -> int:
@@ -529,6 +541,11 @@ class ShardState:
     journal: Optional[WriteAheadJournal] = None
     log_path: str = ""
     restart_task: Optional["asyncio.Task"] = None
+    #: The collector task chasing this shard's in-flight jobs, if any.
+    collector: Optional["asyncio.Task"] = None
+    #: Times the shard was declared down; a forward that straddles a
+    #: change discards the answer (replay owns its chunk by then).
+    downs: int = 0
 
     @property
     def pid(self) -> Optional[int]:
@@ -546,7 +563,8 @@ class ShardSupervisor:
     """Spawns, routes to, health-checks, and heals a shard fleet.
 
     All public methods must be called from the event loop thread (the
-    HTTP handlers, dispatchers and the health monitor share one loop).
+    HTTP handlers, dispatchers, collectors and the health monitor share
+    one loop).
     Shards are real ``cohort serve`` subprocesses sharing one cache
     directory; the supervisor is the only writer of the per-shard
     intake journals.
@@ -561,7 +579,6 @@ class ShardSupervisor:
         cache_dir: Optional[str] = None,
         shard_jobs: int = 1,
         max_batch: int = 8,
-        batch_window: float = 0.05,
         shard_queue_limit: int = 64,
         engine: str = "lockstep",
         job_timeout: Optional[float] = None,
@@ -594,7 +611,6 @@ class ShardSupervisor:
         )
         self.shard_jobs = shard_jobs
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.shard_queue_limit = shard_queue_limit
         self.engine = engine
         self.job_timeout = job_timeout
@@ -631,6 +647,11 @@ class ShardSupervisor:
         self._jobs: Dict[str, FleetJob] = {}
         self._queues: Dict[int, List[FleetJob]] = {
             s.index: [] for s in self.shards
+        }
+        #: Dispatched-but-unfinished jobs per shard, by remote id: what
+        #: the collector chases, bounded by ``shard_queue_limit``.
+        self._inflight: Dict[int, Dict[str, FleetJob]] = {
+            s.index: {} for s in self.shards
         }
         self._wakeups: Dict[int, asyncio.Event] = {}
         self._tasks: List[asyncio.Task] = []
@@ -726,15 +747,16 @@ class ShardSupervisor:
         self._wake_all()
         while self._pending_count():
             await asyncio.sleep(0.02)
-        restart_tasks = [
-            s.restart_task
+        shard_tasks = [
+            task
             for s in self.shards
-            if s.restart_task is not None and not s.restart_task.done()
+            for task in (s.restart_task, s.collector)
+            if task is not None and not task.done()
         ]
-        for task in self._tasks + restart_tasks:
+        for task in self._tasks + shard_tasks:
             task.cancel()
         await asyncio.gather(
-            *self._tasks, *restart_tasks, return_exceptions=True
+            *self._tasks, *shard_tasks, return_exceptions=True
         )
         self._tasks = []
         await asyncio.gather(
@@ -773,7 +795,8 @@ class ShardSupervisor:
             "--port", str(shard.port),
             "--jobs", str(self.shard_jobs),
             "--max-batch", str(self.max_batch),
-            "--batch-window", str(self.batch_window),
+            # The router's chunk is the fleet's only coalescing stage.
+            "--batch-window", "0",
             "--queue-limit", str(self.shard_queue_limit),
             "--cache-dir", self.cache_dir,
             "--engine", self.engine,
@@ -880,7 +903,10 @@ class ShardSupervisor:
             return
         shard.state = "down"
         shard.down_since = time.monotonic()
+        shard.downs += 1
         shard.breaker.trip()
+        # Every in-flight job is requeued below; the collector stops.
+        self._inflight[shard.index].clear()
         self.oplog.emit(
             "shard_down", shard=shard.index, reason=reason, pid=shard.pid,
             restarts=shard.restarts,
@@ -1143,19 +1169,24 @@ class ShardSupervisor:
     # -- dispatch ------------------------------------------------------------
 
     async def _dispatch_loop(self, shard: ShardState) -> None:
-        """Forward this shard's queued jobs and chase their results."""
+        """The shard's dispatcher: forward chunks without waiting on them.
+
+        Each pass takes up to ``max_batch`` queued jobs — fewer when the
+        shard already holds ``shard_queue_limit`` dispatched-but-
+        unfinished jobs, so the router never causes its own 429s — and
+        forwards them as one batched ``POST /jobs``.  Earlier chunks are
+        left to the shard's collector.
+        """
         wakeup = self._wakeups[shard.index]
         while True:
             chunk = self._take_chunk(shard.index)
             if not chunk:
-                if self._draining and not self._queues[shard.index]:
-                    if not self._pending_count():
-                        return
+                if self._draining and not self._pending_count():
+                    return
+                # Submissions, landed jobs, replays and a shard coming
+                # up all set this; drain cancels the loop.
                 wakeup.clear()
-                try:
-                    await asyncio.wait_for(wakeup.wait(), 0.2)
-                except asyncio.TimeoutError:
-                    pass
+                await wakeup.wait()
                 continue
             if shard.state != "up" or not shard.breaker.allows():
                 # Not routable right now: put the chunk back and let
@@ -1163,23 +1194,31 @@ class ShardSupervisor:
                 self._requeue(shard.index, chunk)
                 await asyncio.sleep(0.1)
                 continue
-            await self._dispatch_chunk(shard, chunk)
+            await self._forward(shard, chunk)
 
     def _take_chunk(self, shard_id: int) -> List[FleetJob]:
+        """Pop the next chunk of queued jobs, in order.
+
+        At most ``max_batch`` jobs, and no more than the shard's room
+        under ``shard_queue_limit`` in-flight jobs.
+        """
+        limit = min(
+            self.max_batch,
+            self.shard_queue_limit - len(self._inflight[shard_id]),
+        )
+        if limit <= 0:
+            return []
         queue = self._queues[shard_id]
         chunk: List[FleetJob] = []
         remaining: List[FleetJob] = []
         for record in queue:
             if record.status == "queued" and record.shard == shard_id:
-                if len(chunk) < self.max_batch:
+                if len(chunk) < limit:
                     chunk.append(record)
                 else:
                     remaining.append(record)
-            elif record.status in ("queued", "dispatched") and (
-                record.shard != shard_id
-            ):
-                # Failover moved it; its new queue already holds it.
-                continue
+            # Anything else is stale: finished, or moved by failover to
+            # a queue that already holds it.
         self._queues[shard_id] = remaining
         return chunk
 
@@ -1187,104 +1226,120 @@ class ShardSupervisor:
         front = [r for r in chunk if r.status == "queued"]
         self._queues[shard_id] = front + self._queues[shard_id]
 
-    async def _dispatch_chunk(
+    async def _forward(
         self, shard: ShardState, chunk: List[FleetJob]
     ) -> None:
-        """Submit a chunk to one shard and poll it to completion."""
-        for record in chunk:
-            if record.status != "queued" or record.shard != shard.index:
-                continue
-            try:
-                status, doc = await _http_json(
-                    self.host, shard.port, "POST", "/jobs",
-                    doc=record.spec.to_dict(),
-                    timeout=self.request_timeout,
-                    headers=(
-                        {"X-Trace-Id": record.trace_id}
-                        if record.trace_id else None
-                    ),
-                )
-            except ShardUnreachableError:
-                shard.breaker.record_failure()
-                # _take_chunk removed every member from the queue: put
-                # all still-queued ones back (not just this record),
-                # then fall through so members already dispatched this
-                # round are still collected.
-                self._requeue(shard.index, chunk)
-                break
-            if status == 202 and isinstance(doc, dict) and doc.get("jobs"):
-                record.remote_id = doc["jobs"][0]["id"]
+        """Forward one chunk to its shard as a single ``POST /jobs``.
+
+        Each job keeps its own trace context through ``trace_ids``.  On
+        a 202 the chunk is marked dispatched and handed to the shard's
+        collector; a 429/503 or an unreachable shard puts the whole
+        chunk back at the head of the queue, in order.
+        """
+        downs = shard.downs
+        try:
+            status, doc = await _http_json(
+                self.host, shard.port, "POST", "/jobs",
+                doc={
+                    "jobs": [r.spec.to_dict() for r in chunk],
+                    "trace_ids": [r.trace_id for r in chunk],
+                },
+                timeout=self.request_timeout,
+            )
+        except ShardUnreachableError:
+            status, doc = 0, None
+        if shard.downs != downs:
+            # Declared down mid-request: journal replay already requeued
+            # the chunk, and an answer from the old process is moot.
+            return
+        remote = doc.get("jobs") if isinstance(doc, dict) else None
+        if status == 202 and isinstance(remote, list) and (
+            len(remote) == len(chunk)
+        ):
+            inflight = self._inflight[shard.index]
+            for record, job in zip(chunk, remote):
+                record.remote_id = job["id"]
                 record.status = "dispatched"
                 record.attempts += 1
+                inflight[record.remote_id] = record
                 self.oplog.emit(
                     "dispatch", job_id=record.id, trace_id=record.trace_id,
                     shard=shard.index, remote_id=record.remote_id,
                 )
-            elif status in (429, 503):
-                self._requeue(shard.index, chunk)
-                await asyncio.sleep(self.retry_after)
-                break
-            else:
-                detail = (
-                    doc.get("error") if isinstance(doc, dict) else None
+            if shard.collector is None or shard.collector.done():
+                shard.collector = asyncio.get_running_loop().create_task(
+                    self._collect(shard)
                 )
+        elif status in (0, 429, 503):
+            self._requeue(shard.index, chunk)
+            if status:
+                await asyncio.sleep(self.retry_after)
+            else:
+                shard.breaker.record_failure()
+        else:
+            detail = doc.get("error") if isinstance(doc, dict) else None
+            for record in chunk:
                 self._finish(
                     record,
                     error=f"shard {shard.index} refused job "
                           f"({status}): {detail or 'no detail'}",
                 )
-        await self._collect(shard, chunk)
 
-    async def _collect(
-        self, shard: ShardState, chunk: List[FleetJob]
-    ) -> None:
-        """Poll the shard until every dispatched job in ``chunk`` lands."""
-        while True:
-            waiting = [
-                r for r in chunk
-                if r.status == "dispatched" and r.shard == shard.index
-            ]
-            if not waiting:
-                return
-            if shard.state != "up":
-                # The health loop declared the shard down; replay owns
-                # these records now.
-                return
-            unreachable = False
-            for record in waiting:
-                try:
-                    status, doc = await _http_json(
-                        self.host, shard.port, "GET",
-                        f"/jobs/{record.remote_id}",
-                        timeout=self.request_timeout,
+    async def _collect(self, shard: ShardState) -> None:
+        """The shard's collector: chase every in-flight job at once.
+
+        One batched ``POST /jobs/poll`` per pass, with a
+        :data:`COLLECT_INTERVAL` pause between passes.  Runs while the
+        shard has jobs in flight and is ``up``; once the health loop
+        declares it down, journal replay owns those jobs.
+        """
+        inflight = self._inflight[shard.index]
+        while inflight and shard.state == "up":
+            try:
+                status, doc = await _http_json(
+                    self.host, shard.port, "POST", "/jobs/poll",
+                    doc={"ids": list(inflight)},
+                    timeout=self.request_timeout,
+                )
+            except ShardUnreachableError:
+                status, doc = 0, None
+            if status != 200 or not isinstance(doc, dict):
+                # Transient while the shard is still marked up: keep
+                # chasing — if it really died, the health loop flips its
+                # state and the loop condition hands over to replay.
+                shard.breaker.record_failure()
+                await asyncio.sleep(self.health_interval)
+                continue
+            landed = False
+            for remote_id, job in (doc.get("jobs") or {}).items():
+                record = inflight.get(remote_id)
+                if record is None or not isinstance(job, dict):
+                    continue
+                if job.get("status") == "done":
+                    record.digest = job.get("digest")
+                    self._finish(record, result=job.get("result"))
+                    shard.completed += 1
+                elif job.get("status") == "failed":
+                    self._finish(
+                        record,
+                        error=job.get("error") or "shard execution failed",
                     )
-                except ShardUnreachableError:
-                    # Transient while the shard is still marked up:
-                    # keep polling — nothing else re-polls dispatched
-                    # jobs, and if the shard really died the health
-                    # loop flips its state and the check above hands
-                    # the records to journal replay.
-                    shard.breaker.record_failure()
-                    unreachable = True
-                    break
-                if status != 200 or not isinstance(doc, dict):
-                    # Unknown id after a silent shard restart: requeue.
+                else:
+                    continue
+                del inflight[remote_id]
+                landed = True
+            for remote_id in doc.get("unknown") or []:
+                # Unknown id after a silent shard restart: requeue.
+                record = inflight.pop(remote_id, None)
+                if record is not None:
                     record.status = "queued"
                     record.remote_id = None
                     self._queues[shard.index].append(record)
-                    continue
-                if doc.get("status") == "done":
-                    record.digest = doc.get("digest")
-                    self._finish(record, result=doc.get("result"))
-                    shard.completed += 1
-                elif doc.get("status") == "failed":
-                    self._finish(
-                        record,
-                        error=doc.get("error") or "shard execution failed",
-                    )
-            await asyncio.sleep(
-                self.health_interval if unreachable else 0.05
-            )
+                    landed = True
+            if landed:
+                self._wakeups[shard.index].set()
+            if inflight:
+                await asyncio.sleep(COLLECT_INTERVAL)
 
     def _finish(
         self,

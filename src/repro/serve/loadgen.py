@@ -129,11 +129,12 @@ class LoadgenReport:
 
     Histograms are in microseconds; :meth:`to_dict` derives the
     millisecond quantiles the capacity gate consumes.  ``sustained_rps``
-    divides completions by the *offered window* (``window_s``: first
-    arrival to last submission, at least the schedule span) rather
-    than ``duration_s`` (which also includes the drain tail) — so a
-    server that needs a long drain to finish the backlog shows a
-    large ``duration_s`` but is judged on the window it was loaded.
+    is the completions seen by the end of the *offered window*
+    (``completed_in_window``; ``window_s`` runs from the first arrival
+    to the last submission, at least the schedule span) over that
+    window.  Jobs that finish in the drain tail count in ``completed``
+    but not there — so a server that parks its backlog and drains it
+    later cannot score its offered rate as sustained.
     """
 
     rate: float
@@ -144,6 +145,7 @@ class LoadgenReport:
     rejected_429: int = 0
     errors: int = 0
     completed: int = 0
+    completed_in_window: int = 0
     failed: int = 0
     lost: int = 0
     pending_at_end: int = 0
@@ -157,7 +159,9 @@ class LoadgenReport:
 
     @property
     def sustained_rps(self) -> float:
-        return self.completed / self.window_s if self.window_s else 0.0
+        return (
+            self.completed_in_window / self.window_s if self.window_s else 0.0
+        )
 
     @property
     def ratio_429(self) -> float:
@@ -183,6 +187,7 @@ class LoadgenReport:
             "rejected_429": self.rejected_429,
             "errors": self.errors,
             "completed": self.completed,
+            "completed_in_window": self.completed_in_window,
             "failed": self.failed,
             "lost": self.lost,
             "pending_at_end": self.pending_at_end,
@@ -287,6 +292,7 @@ class LoadGenerator:
                 time.monotonic() - t0,
                 schedule[-1] if schedule else 0.0,
             )
+            report.completed_in_window = report.completed
             drain_deadline = time.monotonic() + self.drain_timeout
             while self._inflight and time.monotonic() < drain_deadline:
                 await asyncio.sleep(self.poll_interval)

@@ -14,7 +14,10 @@ third-party framework, one request per connection, JSON in and out:
   submission carries a trace id — a valid client ``X-Trace-Id`` is
   honoured, anything else gets a freshly minted one — echoed in the
   response header/body and stamped through the oplog, the runner and
-  the job's result envelope,
+  the job's result envelope.  An optional ``"trace_ids"`` list beside
+  ``"jobs"`` gives each job its own trace id (the fleet router's
+  chunks mix submissions); a missing or invalid entry falls back to
+  the request's,
 * ``GET /jobs/<id>`` — poll one job (result embedded when done),
 * ``POST /jobs/poll`` — poll many jobs in one round-trip
   (``{"ids": [...], "include_result": bool}``).
@@ -275,8 +278,10 @@ class ServeApp(JsonHttpApp):
             )
         if isinstance(doc, dict) and "jobs" in doc:
             raw_specs = doc.get("jobs")
+            raw_traces = doc.get("trace_ids") or []
         else:
             raw_specs = [doc]
+            raw_traces = []
         if not isinstance(raw_specs, list):
             return (
                 400,
@@ -284,9 +289,24 @@ class ServeApp(JsonHttpApp):
                  "trace_id": trace_id},
                 trace_headers,
             )
+        if not isinstance(raw_traces, list):
+            return (
+                400,
+                {"error": '"trace_ids" must be a list of trace ids',
+                 "trace_id": trace_id},
+                trace_headers,
+            )
+        trace_ids = [
+            raw_traces[i]
+            if i < len(raw_traces) and valid_trace_id(raw_traces[i])
+            else trace_id
+            for i in range(len(raw_specs))
+        ]
         try:
             specs = [JobSpec.from_dict(raw) for raw in raw_specs]
-            records = self.service.submit(specs, trace_id=trace_id)
+            records = self.service.submit(
+                specs, trace_id=trace_id, trace_ids=trace_ids
+            )
         except JobSpecError as exc:
             return (
                 400,

@@ -186,7 +186,8 @@ class JobRecord:
     result: Optional[dict] = None
     error: Optional[str] = None
     #: Trace-context id of the submission this job arrived in (one id
-    #: per ``POST /jobs``); carried into every oplog event and the
+    #: per ``POST /jobs``, or per job when the submission forwards
+    #: several clients' jobs); carried into every oplog event and the
     #: result envelope so a request's lifecycle greps end to end.
     trace_id: Optional[str] = None
     #: When the executed batch returned from the runner (the
@@ -306,13 +307,18 @@ class BatchingService:
     # -- submission / polling ------------------------------------------------
 
     def submit(
-        self, specs: Sequence[JobSpec], trace_id: Optional[str] = None
+        self,
+        specs: Sequence[JobSpec],
+        trace_id: Optional[str] = None,
+        trace_ids: Optional[Sequence[Optional[str]]] = None,
     ) -> List[JobRecord]:
         """Admit ``specs`` as one all-or-nothing submission.
 
         ``trace_id`` is the submission's trace context (the HTTP layer
         mints one per ``POST /jobs`` when the client did not); it is
-        stamped on every admitted record and oplog event.
+        stamped on every admitted record and oplog event.  ``trace_ids``
+        (one per spec) overrides it job by job, for a submission that
+        forwards jobs from several clients (the fleet router's chunks).
         """
         if self._draining:
             self.oplog.emit(
@@ -322,6 +328,10 @@ class BatchingService:
             raise DrainingError("service is draining; not accepting jobs")
         if not specs:
             raise JobSpecError("submission contains no jobs")
+        if trace_ids is None:
+            trace_ids = [trace_id] * len(specs)
+        elif len(trace_ids) != len(specs):
+            raise ValueError("trace_ids must match specs one to one")
         # Check-and-admit is one atomic step: nothing between the limit
         # check and the final append yields to the event loop (no awaits,
         # no blocking I/O beyond the oplog write), so two concurrent
@@ -344,16 +354,16 @@ class BatchingService:
         now = time.time()
         now_mono = time.monotonic()
         records = []
-        for spec in specs:
+        for spec, job_trace in zip(specs, trace_ids):
             record = JobRecord(
                 id=uuid.uuid4().hex[:12], spec=spec, submitted_at=now,
-                submitted_mono=now_mono, trace_id=trace_id,
+                submitted_mono=now_mono, trace_id=job_trace,
             )
             self._jobs[record.id] = record
             self._queue.append(record)
             records.append(record)
             self.oplog.emit(
-                "admit", trace_id=trace_id, job_id=record.id,
+                "admit", trace_id=job_trace, job_id=record.id,
                 spec_key=spec.spec_key(), queue_depth=len(self._queue),
             )
         self.jobs_submitted += len(records)

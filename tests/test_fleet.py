@@ -1,11 +1,13 @@
 """Tests for the shard fleet (repro.serve.fleet).
 
-Unit tests cover the routing ring, the circuit breaker and the fleet's
-Prometheus exposition without any processes.  Integration tests run a
-real :class:`FleetThread` — actual ``cohort serve`` subprocesses under
-a supervising router — and exercise the failure paths the fleet exists
-for: a SIGKILLed shard mid-flight must lose nothing, and a restarting
-endpoint must be survivable by a retrying client.
+Unit tests cover the routing ring, the circuit breaker, the fleet's
+Prometheus exposition and the router's dispatcher/collector pipeline
+(against scripted stub shards on the test's event loop) without any
+processes.  Integration tests run a real :class:`FleetThread` — actual
+``cohort serve`` subprocesses under a supervising router — and
+exercise the failure paths the fleet exists for: a SIGKILLed shard
+mid-flight must lose nothing, and a restarting endpoint must be
+survivable by a retrying client.
 """
 
 import asyncio
@@ -17,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import uuid
 
 import pytest
 
@@ -219,24 +222,29 @@ class TestSupervisorFailover:
         return chunk
 
     def test_unreachable_shard_requeues_whole_chunk(self, tmp_path):
-        # _take_chunk already removed the chunk from the queue; a POST
-        # failure must put every still-queued member back, not just the
-        # record that hit the error.
+        # _take_chunk already removed the chunk from the queue; a failed
+        # batched POST must put the whole chunk back at the head of the
+        # queue, in order, ahead of jobs queued behind it.
         from repro.serve.fleet import free_port
 
         sup = self._supervisor(tmp_path, shards=1)
         shard = sup.shards[0]
         shard.port = free_port()  # nothing listening
-        chunk = self._hand_built_chunk(sup, 3)
-        asyncio.run(sup._dispatch_chunk(shard, chunk))
+        chunk = self._hand_built_chunk(sup, 4)
+        behind = chunk.pop()
+        sup._queues[0] = [behind]
+        asyncio.run(sup._forward(shard, chunk))
         assert all(r.status == "queued" for r in chunk)
-        assert [r.id for r in sup._queues[0]] == [r.id for r in chunk]
+        assert [r.id for r in sup._queues[0]] == [
+            r.id for r in chunk + [behind]
+        ]
+        assert shard.breaker.failures == 1
 
     def test_collect_retries_while_shard_marked_up(self, tmp_path):
         # A transient poll failure must not abandon dispatched jobs:
         # _collect keeps polling until the health loop flips the state,
         # at which point journal replay owns the records.
-        from repro.serve.fleet import FleetJob, free_port
+        from repro.serve.fleet import free_port
 
         sup = self._supervisor(tmp_path, shards=1, health_interval=0.05)
         shard = sup.shards[0]
@@ -244,9 +252,10 @@ class TestSupervisorFailover:
         (record,) = self._hand_built_chunk(sup, 1)
         record.status = "dispatched"
         record.remote_id = "remote-1"
+        sup._inflight[0]["remote-1"] = record
 
         async def drive():
-            task = asyncio.ensure_future(sup._collect(shard, [record]))
+            task = asyncio.ensure_future(sup._collect(shard))
             await asyncio.sleep(0.4)
             assert not task.done(), "gave up on a dispatched job"
             shard.state = "down"
@@ -317,6 +326,380 @@ class TestSupervisorFailover:
         assert shard.proc.poll() is not None
 
 
+class _StubShard:
+    """A scripted shard on the test's own event loop.
+
+    Accepts batched ``POST /jobs`` (or answers ``answer`` instead of
+    202), reports jobs ``running`` until the test marks them finished,
+    and records what the router sent: every forwarded chunk and the
+    peak number of jobs it held unfinished.  With ``rng`` it refuses a
+    chunk with probability ``refuse_p`` and finishes each running job
+    with probability ``finish_p`` per poll.
+    """
+
+    def __init__(self, answer=202, finish_all=False, rng=None,
+                 refuse_p=0.0, finish_p=0.0):
+        from repro.serve.server import JsonHttpApp
+
+        stub = self
+
+        class App(JsonHttpApp):
+            def _route(self, method, target, body, headers=None):
+                return stub.route(target, json.loads(body or b"null"))
+
+        self.app = App()
+        self.answer = answer
+        self.finish_all = finish_all
+        self.rng = rng
+        self.refuse_p = refuse_p
+        self.finish_p = finish_p
+        self.chunks = []
+        self.specs = {}
+        self.finished = set()
+        self.collected = set()
+        self.poll_sizes = []
+        self.peak_unfinished = 0
+
+    async def start(self):
+        self.server = await asyncio.start_server(
+            self.app.handle_connection, "127.0.0.1", 0
+        )
+        return self.server.sockets[0].getsockname()[1]
+
+    async def stop(self):
+        self.server.close()
+        await self.server.wait_closed()
+
+    def route(self, target, doc):
+        if target == "/jobs":
+            if self.rng is not None and self.rng.random() < self.refuse_p:
+                return 429, {"error": "scripted backpressure"}, {}
+            if self.answer != 202:
+                return self.answer, {"error": "scripted refusal"}, {}
+            self.chunks.append(doc)
+            ids = []
+            for spec in doc["jobs"]:
+                # Unique across stubs, like a real shard's job ids: a
+                # restarted shard must not reuse an id still in flight.
+                remote = uuid.uuid4().hex[:12]
+                self.specs[remote] = spec
+                ids.append({"id": remote})
+            self.peak_unfinished = max(
+                self.peak_unfinished, len(self.specs) - len(self.collected)
+            )
+            return 202, {"jobs": ids}, {}
+        assert target == "/jobs/poll"
+        self.poll_sizes.append(len(doc["ids"]))
+        jobs, unknown = {}, []
+        for remote in doc["ids"]:
+            if remote not in self.specs:
+                unknown.append(remote)
+                continue
+            if self.rng is not None and self.rng.random() < self.finish_p:
+                self.finished.add(remote)
+            if self.finish_all or remote in self.finished:
+                self.collected.add(remote)
+                jobs[remote] = {
+                    "status": "done", "digest": "d-" + remote,
+                    "result": {"remote": remote},
+                }
+            else:
+                jobs[remote] = {"status": "running"}
+        return 200, {"jobs": jobs, "unknown": unknown}, {}
+
+    def finish(self, count):
+        """Let the ``count`` oldest unfinished jobs complete."""
+        for remote in self.specs:
+            if count and remote not in self.finished:
+                self.finished.add(remote)
+                count -= 1
+
+
+async def _until(predicate, timeout=5.0):
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        if asyncio.get_running_loop().time() > deadline:
+            raise AssertionError("condition not reached in time")
+        await asyncio.sleep(0.005)
+
+
+class TestRouterPipeline:
+    """The router's dispatcher/collector pipeline against stub shards."""
+
+    @pytest.fixture(autouse=True)
+    def _close_supervisors(self):
+        self._made = []
+        yield
+        for sup in self._made:
+            for shard in sup.shards:
+                shard.journal.close()
+            sup.oplog.close()
+
+    def _supervisor(self, tmp_path, **kwargs):
+        from repro.obs import OpLogger
+        from repro.serve.fleet import ShardSupervisor
+
+        sup = ShardSupervisor(
+            shards=1,
+            fleet_dir=str(tmp_path / "fleet"),
+            cache_dir=str(tmp_path / "cache"),
+            oplog=OpLogger(
+                path=str(tmp_path / "fleet.oplog.jsonl"), component="fleet"
+            ),
+            **kwargs,
+        )
+        sup.shards[0].state = "up"
+        sup._wakeups = {0: asyncio.Event()}
+        self._made.append(sup)
+        return sup
+
+    async def _run(self, sup, stub):
+        """Point shard 0 at ``stub`` and start its dispatcher."""
+        sup.shards[0].port = await stub.start()
+        return asyncio.ensure_future(sup._dispatch_loop(sup.shards[0]))
+
+    async def _stop(self, sup, task, *stubs):
+        task.cancel()
+        collector = sup.shards[0].collector
+        if collector is not None:
+            collector.cancel()
+        await asyncio.gather(task, collector, return_exceptions=True)
+        for stub in stubs:
+            await stub.stop()
+
+    @staticmethod
+    def _specs(count):
+        from repro.serve import JobSpec
+
+        return [JobSpec.from_dict(spec) for spec in tiny_specs(count)]
+
+    def test_second_chunk_forwarded_while_first_runs(self, tmp_path):
+        sup = self._supervisor(tmp_path, max_batch=2)
+        stub = _StubShard()
+
+        async def scenario():
+            task = await self._run(sup, stub)
+            records = await sup.submit(self._specs(4))
+            await _until(
+                lambda: all(r.status == "dispatched" for r in records)
+            )
+            # Both chunks are on the shard and nothing has finished.
+            assert [len(c["jobs"]) for c in stub.chunks] == [2, 2]
+            assert not stub.finished
+            stub.finish(4)
+            await _until(lambda: all(r.status == "done" for r in records))
+            await self._stop(sup, task, stub)
+            return records
+
+        records = asyncio.run(scenario())
+        # One batched poll chased all four jobs at once.
+        assert max(stub.poll_sizes) == 4
+        assert [r.result for r in records] == [
+            {"remote": r.remote_id} for r in records
+        ]
+        assert sup._pending_count() == 0
+
+    def test_in_flight_jobs_never_exceed_shard_queue_limit(self, tmp_path):
+        sup = self._supervisor(tmp_path, max_batch=2, shard_queue_limit=3)
+        stub = _StubShard()
+
+        async def scenario():
+            task = await self._run(sup, stub)
+            records = await sup.submit(self._specs(7))
+            await _until(lambda: len(stub.specs) == 3)
+            await asyncio.sleep(0.1)
+            assert len(stub.specs) == 3, "forwarded past the bound"
+            assert [len(c["jobs"]) for c in stub.chunks] == [2, 1]
+            assert len(sup._inflight[0]) == 3
+            # Finishing one job frees exactly one slot.
+            stub.finish(1)
+            await _until(lambda: len(stub.specs) == 4)
+            await asyncio.sleep(0.1)
+            assert len(stub.specs) == 4
+            while not all(r.status == "done" for r in records):
+                stub.finish(1)
+                await asyncio.sleep(0.02)
+            await self._stop(sup, task, stub)
+
+        asyncio.run(scenario())
+        assert len(stub.specs) == 7
+        assert stub.peak_unfinished == 3
+
+    def test_backpressured_shard_requeues_whole_chunk_in_order(
+        self, tmp_path
+    ):
+        sup = self._supervisor(tmp_path, max_batch=3, retry_after=0.01)
+        stub = _StubShard(answer=429)
+
+        async def scenario():
+            sup.shards[0].port = await stub.start()
+            records = await sup.submit(self._specs(4))
+            chunk = sup._take_chunk(0)
+            await sup._forward(sup.shards[0], chunk)
+            await stub.stop()
+            return records, chunk
+
+        records, chunk = asyncio.run(scenario())
+        assert [r.id for r in chunk] == [r.id for r in records[:3]]
+        assert all(r.status == "queued" for r in records)
+        assert [r.id for r in sup._queues[0]] == [r.id for r in records]
+
+    def test_shard_death_with_chunks_in_flight_replays_each_job_once(
+        self, tmp_path
+    ):
+        from repro.obs import read_oplog
+
+        sup = self._supervisor(tmp_path, max_batch=2)
+        dying = _StubShard()
+        replacement = _StubShard(finish_all=True)
+
+        async def scenario():
+            task = await self._run(sup, dying)
+            records = await sup.submit(self._specs(6))
+            await _until(lambda: len(sup._inflight[0]) == 6)
+            assert len(dying.chunks) == 3
+            sup._on_shard_down(sup.shards[0], "test kill")
+            assert not sup._inflight[0]
+            assert all(r.status == "queued" for r in records)
+            assert sorted(r.id for r in sup._queues[0]) == sorted(
+                r.id for r in records
+            )
+            # The supervisor restarts the shard on a new port.
+            shard = sup.shards[0]
+            shard.port = await replacement.start()
+            shard.state = "up"
+            shard.breaker.record_success()
+            sup._wakeups[0].set()
+            await _until(lambda: all(r.status == "done" for r in records))
+            await self._stop(sup, task, dying, replacement)
+            return records
+
+        records = asyncio.run(scenario())
+        forwarded = [
+            json.dumps(spec, sort_keys=True)
+            for chunk in replacement.chunks for spec in chunk["jobs"]
+        ]
+        assert sorted(forwarded) == sorted(
+            json.dumps(r.spec.to_dict(), sort_keys=True) for r in records
+        )
+        assert sup.replayed_jobs == 6
+        sup.oplog.close()
+        replays = [
+            e["job_id"] for e in read_oplog(sup.oplog.path)
+            if e["event"] == "journal_replay"
+        ]
+        assert sorted(replays) == sorted(r.id for r in records)
+        assert all(r.attempts == 2 for r in records)
+
+    def test_random_faults_finish_every_job_exactly_once(self, tmp_path):
+        # Time-bounded stress: two shards that refuse chunks, finish
+        # jobs at random, die (failover + replay) or restart silently
+        # (every remote id unknown) while jobs keep arriving.  Every
+        # job must finish exactly once and no bookkeeping may leak.
+        import random
+
+        from repro.serve import JobSpec
+        from repro.serve.fleet import ShardSupervisor
+
+        rng = random.Random(7)
+        sup = ShardSupervisor(
+            shards=2,
+            fleet_dir=str(tmp_path / "fleet"),
+            cache_dir=str(tmp_path / "cache"),
+            max_batch=3,
+            shard_queue_limit=5,
+            retry_after=0.01,
+        )
+        self._made.append(sup)
+        sup._wakeups = {s.index: asyncio.Event() for s in sup.shards}
+        stubs = []
+
+        async def bring_up(shard):
+            stub = _StubShard(rng=rng, refuse_p=0.1, finish_p=0.05)
+            stubs.append(stub)
+            shard.port = await stub.start()
+            shard.state = "up"
+            shard.breaker.record_success()
+            sup._wakeups[shard.index].set()
+
+        async def scenario():
+            for shard in sup.shards:
+                await bring_up(shard)
+            tasks = [
+                asyncio.ensure_future(sup._dispatch_loop(shard))
+                for shard in sup.shards
+            ]
+            records = []
+            for round_ in range(20):
+                specs = [
+                    JobSpec.from_dict(dict(TINY, seed=round_ * 10 + i))
+                    for i in range(rng.randint(1, 4))
+                ]
+                records += await sup.submit(specs)
+                await asyncio.sleep(0.02)
+                shard = rng.choice(sup.shards)
+                fault = rng.random()
+                if fault < 0.3 and shard.state == "up":
+                    sup._on_shard_down(shard, "stress kill")
+                    await asyncio.sleep(0.02)
+                    await bring_up(shard)
+                elif fault < 0.5 and shard.state == "up":
+                    await bring_up(shard)  # silent restart, new port
+            await _until(
+                lambda: all(r.status == "done" for r in records), 20
+            )
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(
+                *tasks,
+                *(s.collector for s in sup.shards if s.collector),
+                return_exceptions=True,
+            )
+            for stub in stubs:
+                await stub.stop()
+            return records
+
+        records = asyncio.run(scenario())
+        assert sup.jobs_completed == len(records)
+        assert sup.jobs_failed == 0
+        assert sup._pending_count() == 0
+        assert not any(sup._inflight.values())
+        assert all(s.journal.live_count == 0 for s in sup.shards)
+        assert [r.result for r in records] == [
+            {"remote": r.remote_id} for r in records
+        ]
+        assert max(stub.peak_unfinished for stub in stubs) <= 5
+
+    def test_forwarded_chunk_keeps_each_jobs_trace_id(self, tmp_path):
+        # One chunk mixes two client submissions; the shard must stamp
+        # each record with its own submission's trace id.
+        from repro.runner import SweepRunner
+
+        sup = self._supervisor(tmp_path)
+        runner = SweepRunner(jobs=1, cache_dir=str(tmp_path / "shard"))
+        with ServerThread(runner=runner, batch_window=0.0) as shard_thread:
+            sup.shards[0].port = shard_thread.port
+
+            async def scenario():
+                first = await sup.submit(self._specs(1), trace_id="client-a")
+                second = await sup.submit(
+                    self._specs(2)[1:], trace_id="client-b"
+                )
+                chunk = sup._take_chunk(0)
+                assert len(chunk) == 2
+                await sup._forward(sup.shards[0], chunk)
+                # The collector stops once both jobs have landed.
+                await asyncio.wait_for(sup.shards[0].collector, 60)
+                return first + second
+
+            records = asyncio.run(scenario())
+            service = shard_thread.service
+            remote = [service.get(r.remote_id) for r in records]
+        assert [r.status for r in records] == ["done", "done"]
+        assert [r.trace_id for r in records] == ["client-a", "client-b"]
+        assert [r.trace_id for r in remote] == ["client-a", "client-b"]
+
+
 class TestFleetPrometheus:
     def _doc(self):
         return {
@@ -364,7 +747,6 @@ def fleet(tmp_path_factory):
         shards=2,
         fleet_dir=str(root / "state"),
         cache_dir=str(root / "cache"),
-        batch_window=0.02,
         health_interval=0.1,
         heartbeat_timeout=0.5,
         heartbeat_deadline=1.5,

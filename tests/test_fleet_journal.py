@@ -172,7 +172,6 @@ class TestJournalReplayIntegration:
             shards=2,
             fleet_dir=str(tmp_path / "state"),
             cache_dir=str(tmp_path / "cache"),
-            batch_window=0.02,
             health_interval=0.1,
             heartbeat_timeout=0.5,
             heartbeat_deadline=1.5,

@@ -186,3 +186,58 @@ class TestLoadGeneratorCompletion:
         assert doc["sustained_rps"] > 0
         assert doc["e2e"]["p99_ms"] >= doc["e2e"]["p50_ms"] >= 0
         assert doc["histograms_us"]["e2e"]["total"] == report.completed
+
+
+class TestSustainedRpsWindow:
+    def test_drain_tail_completions_are_not_sustained(self):
+        # Every job finishes only after the offered window has closed:
+        # all of them complete in the drain tail, none is sustained.
+        hold_s = 1.5
+        accepted_at = {}
+        lock = threading.Lock()
+
+        class LateFinisher(_StubHandler):
+            def do_POST(self):
+                raw = self.rfile.read(
+                    int(self.headers.get("Content-Length", 0))
+                )
+                doc = json.loads(raw)
+                now = time.monotonic()
+                if self.path == "/jobs/poll":
+                    with lock:
+                        jobs = {
+                            jid: {
+                                "id": jid,
+                                "status": (
+                                    "done"
+                                    if now - accepted_at[jid] >= hold_s
+                                    else "running"
+                                ),
+                            }
+                            for jid in doc["ids"] if jid in accepted_at
+                        }
+                    self._reply(200, {"jobs": jobs, "unknown": []})
+                    return
+                with lock:
+                    job_id = f"job-{len(accepted_at)}"
+                    accepted_at[job_id] = now
+                self._reply(202, {"jobs": [{"id": job_id}]})
+
+        server = _serve(LateFinisher)
+        try:
+            gen = LoadGenerator(
+                "127.0.0.1", server.server_address[1],
+                rate=30.0, duration=1.0,
+                population=theta_population(4), seed=9,
+                workers=8, drain_timeout=5.0,
+            )
+            report = gen.run()
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert report.window_s < hold_s
+        assert report.accepted == report.offered > 0
+        assert report.completed == report.accepted  # the total is kept
+        assert report.sustained_rps == pytest.approx(0.0)
+        assert report.to_dict()["sustained_rps"] == pytest.approx(0.0)
+        assert report.completed_in_window == 0

@@ -373,6 +373,33 @@ class TestTraceContextOverHTTP:
         lower = {k.lower(): v for k, v in headers.items()}
         assert lower["x-trace-id"] == "err-trace"
 
+    def test_per_job_trace_ids_fall_back_to_the_request(self, traced_server):
+        # A forwarded chunk names each job's trace id; a missing or
+        # invalid entry takes the request's X-Trace-Id instead.
+        client = ServeClient(traced_server.base_url, timeout=30.0)
+        status, _, doc = client._request(
+            "POST", "/jobs",
+            {"jobs": [TINY, dict(TINY, seed=1), dict(TINY, seed=2)],
+             "trace_ids": ["job-a", "bad id"]},
+            extra_headers={"X-Trace-Id": "request-1"},
+        )
+        assert status == 202
+        assert doc["trace_id"] == "request-1"
+        assert [j["trace_id"] for j in doc["jobs"]] == [
+            "job-a", "request-1", "request-1",
+        ]
+        service = traced_server.service
+        for job in doc["jobs"]:
+            assert service.get(job["id"]).trace_id == job["trace_id"]
+
+    def test_non_list_trace_ids_is_a_bad_request(self, traced_server):
+        client = ServeClient(traced_server.base_url, timeout=30.0)
+        status, _, doc = client._request(
+            "POST", "/jobs", {"jobs": [TINY], "trace_ids": "job-a"},
+        )
+        assert status == 400
+        assert "trace_ids" in doc["error"]
+
     def test_client_oplog_records_submission(self, traced_server, tmp_path):
         from repro.obs import OpLogger, read_oplog
 
