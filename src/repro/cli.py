@@ -413,9 +413,11 @@ def _optimize_sim_fitness(args, config, traces, profiles, ga_log) -> int:
     import time
 
     from repro.opt import GeneticAlgorithm, SimulationFitness, TimerProblem
+    from repro.runner import SweepRunner
 
     problem = TimerProblem(profiles, LatencyParams(), timed=[True] * 4)
-    fit = SimulationFitness(problem, config, traces, engine=args.engine)
+    runner = SweepRunner(jobs=args.jobs, cache_dir=None, engine=args.engine)
+    fit = SimulationFitness(problem, config, traces, runner=runner)
     ga = GeneticAlgorithm(
         problem.gene_bounds(), fit.fitness, _ga_config(args), map_fn=fit
     )
@@ -1059,8 +1061,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-fitness", action="store_true",
                    help="score timer vectors by *simulated* average memory "
                         "latency instead of the analytic WCML bound; each "
-                        "GA generation is one sweep-runner batch "
-                        "(constraint C1 stays analytic)")
+                        "GA generation is one sweep-runner batch on -j "
+                        "workers (constraint C1 stays analytic)")
     _add_metrics_out(p, "the per-generation GA log (JSON Lines)")
     _add_manifest_out(p)
     _add_engine(p)

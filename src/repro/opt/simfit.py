@@ -8,12 +8,17 @@ while keeping constraint C1 analytic (worst-case requirements cannot be
 established by one measured run).
 
 It implements the GA's ``MapFn`` contract: every generation is a batch
-of timer vectors over the *same* traces, so the internal
-:class:`~repro.runner.SweepRunner` decodes the traces once per process
-(the decode memo is content-keyed), runs each candidate on the engine
-:func:`~repro.sim.system.run_simulation` picks (``engine="lockstep"``
-by default), and memoizes each vector's result, so re-visited
-candidates across generations are cache hits, not simulations.
+of independent timer vectors over the *same* traces.  The internal
+:class:`~repro.runner.SweepRunner` runs one worker per usable CPU (the
+process's CPU affinity set; inline when that is one CPU), so a
+generation's simulations run side by side.  Each worker decodes the
+traces once per batch (the decode memo is content-keyed), runs each
+candidate on the engine :func:`~repro.sim.system.run_simulation` picks
+(``engine="lockstep"`` by default), and the runner memoizes each
+vector's result, so re-visited candidates across generations are cache
+hits, not simulations.  Scores do not depend on the worker count: a
+fitness evaluation draws no GA randomness and every job is
+self-contained.  Pass ``runner=`` to choose the runner yourself.
 
 Usage::
 
@@ -25,12 +30,20 @@ Usage::
 
 from __future__ import annotations
 
+import os
 from typing import List, Optional, Sequence
 
 from repro.params import SimConfig
 from repro.opt.problem import TimerProblem
 from repro.runner import SweepJob, SweepRunner
 from repro.sim.trace import Trace
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class SimulationFitness:
@@ -61,7 +74,7 @@ class SimulationFitness:
         self.base_config = base_config
         self.traces = tuple(traces)
         self.runner = runner or SweepRunner(
-            jobs=1, cache_dir=None, engine=engine
+            jobs=_usable_cpus(), cache_dir=None, engine=engine
         )
 
     # -- MapFn ---------------------------------------------------------------

@@ -160,11 +160,13 @@ def _simulate(
 
 
 def _execute(payload: tuple) -> Tuple[str, dict]:
-    """Worker entry point: rebuild the job from primitives and simulate.
+    """Worker entry point: rebuild the job from a :func:`_job_payload`
+    tuple and simulate.
 
-    Takes plain lists/dicts rather than live objects so the pickled task
-    stays small and version-independent.  Returns the name of the engine
-    that ran and the result dict.
+    The traces arrive as their raw numpy arrays and are rebuilt with
+    :meth:`Trace.from_arrays`, so a malformed payload is still rejected
+    here, in the worker.  Returns the name of the engine that ran and
+    the result dict.
     """
     cfg_dict, check, max_cycles, record, raw_traces, engine = payload
     from dataclasses import replace
@@ -206,15 +208,20 @@ def _execute_payload(
 
 
 def _job_payload(job: SweepJob, engine: str) -> tuple:
+    """The picklable task :func:`_execute` runs in a worker.
+
+    The config travels as a plain dict; each trace as its
+    ``(gaps, ops, addrs)`` numpy arrays, unconverted.  Arrays pickle and
+    unpickle as raw buffers, several times cheaper per job than the same
+    accesses as Python lists, and the worker's content-keyed decode memo
+    then decodes each distinct trace once per worker.
+    """
     return (
         config_to_dict(job.config),
         job.config.check_coherence,
         job.config.max_cycles,
         job.record_latencies,
-        [
-            (t.gaps.tolist(), t.ops.tolist(), t.addrs.tolist())
-            for t in job.traces
-        ],
+        [(t.gaps, t.ops, t.addrs) for t in job.traces],
         engine,
     )
 

@@ -64,6 +64,35 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "optimized thetas" in out
 
+    def test_optimize_sim_fitness_honours_jobs(self, capsys, monkeypatch):
+        """``-j`` sizes the sim-fitness runner; results do not change."""
+        import repro.runner as runner_mod
+
+        runners = []
+
+        class Recording(runner_mod.SweepRunner):
+            def __post_init__(self):
+                super().__post_init__()
+                runners.append(self)
+
+        monkeypatch.setattr(runner_mod, "SweepRunner", Recording)
+        lines = {}
+        for jobs in ("1", "2"):
+            rc = main(
+                ["optimize", "-b", "fft", "--scale", "0.2", "--sim-fitness",
+                 "--population", "4", "--generations", "2", "-j", jobs]
+            )
+            assert rc == 0
+            lines[jobs] = [
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("optimized thetas", "objective"))
+            ]
+        assert [r.jobs for r in runners] == [1, 2]
+        assert runners[0].parallel_batches == 0
+        assert runners[1].parallel_batches > 0
+        assert len(lines["1"]) == 2
+        assert lines["1"] == lines["2"]
+
     def test_table2_small(self, capsys):
         rc = main(
             ["table2", "-b", "water", "--scale", "0.3",

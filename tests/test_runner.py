@@ -65,6 +65,50 @@ class TestParallelDeterminism:
         assert any(c["request_latencies"] for c in a["cores"])
 
 
+class TestArrayPayload:
+    """The worker task ships trace arrays and rebuilds them in-worker."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_execute_matches_inline_simulate(self, traces, record):
+        import pickle
+
+        from repro.runner import _execute, _job_payload, _simulate
+
+        job = SweepJob(cohort_config([60, 20, 5, 120]), tuple(traces), record)
+        # The pickle round trip is what the process pool does to the task.
+        payload = pickle.loads(pickle.dumps(_job_payload(job, "lockstep")))
+        stats = _simulate(job.config, job.traces, record, "lockstep")
+        assert _execute(payload) == (stats.engine, stats_to_dict(stats))
+
+    def test_payload_carries_arrays_not_lists(self, traces):
+        import numpy as np
+
+        from repro.runner import _job_payload
+
+        payload = _job_payload(SweepJob(pcc_config(4), tuple(traces)), "seed")
+        for arrays, trace in zip(payload[4], traces):
+            assert all(isinstance(a, np.ndarray) for a in arrays)
+            assert arrays[2] is trace.addrs
+
+    @pytest.mark.parametrize("field, value", [(0, -1), (1, 7)])
+    def test_malformed_trace_is_rejected_in_the_worker(
+        self, traces, field, value
+    ):
+        """A negative gap or a bad op code still fails ``from_arrays``."""
+        from repro.runner import _execute, _job_payload
+
+        payload = list(_job_payload(SweepJob(pcc_config(4), tuple(traces)),
+                                    "lockstep"))
+        arrays = [a.copy() for a in payload[4][0]]
+        arrays[field][3] = value
+        payload[4] = [tuple(arrays)] + payload[4][1:]
+        with pytest.raises(ValueError):
+            _execute(tuple(payload))
+        runner = SweepRunner(jobs=2, cache_dir=None)
+        with pytest.raises(ValueError):
+            runner._run_parallel([tuple(payload)])
+
+
 class TestCache:
     def test_second_run_is_served_from_cache(self, traces, tmp_path):
         cache = str(tmp_path / "sweeps")
