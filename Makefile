@@ -1,6 +1,7 @@
 # Convenience targets for the CoHoRT reproduction.
 
-.PHONY: install test bench bench-throughput examples all-experiments lint clean
+.PHONY: install test bench bench-throughput examples all-experiments lint clean \
+	src-lines
 
 install:
 	pip install -e . --no-build-isolation
@@ -15,6 +16,13 @@ bench:
 # so the perf trajectory is tracked across PRs.
 bench-throughput:
 	pytest benchmarks/test_sim_throughput.py --benchmark-only -s
+
+# The two sizes ROADMAP tracks across changes: lines of Python under
+# src/ and the number of tier-1 tests.
+src-lines:
+	@echo "- src/ lines: $$(find src -name '*.py' -exec cat {} + | wc -l)"
+	@echo "- tier-1 tests: $$(PYTHONPATH=src python -m pytest \
+		--collect-only -q -o addopts= | grep -c '::')"
 
 examples:
 	@for ex in examples/*.py; do \

@@ -187,7 +187,7 @@ def main():
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--port", str(PORT), "--jobs", "2",
-            "--max-batch", "8", "--batch-window", "0.05",
+            "--max-batch", "8",
             "--queue-limit", "32",
             "--cache-dir", os.path.join(ART_DIR, "cache"),
             "--metrics-out", final_metrics,

@@ -811,7 +811,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = BatchingService(
         runner,
         max_batch=args.max_batch,
-        batch_window=args.batch_window,
         queue_limit=args.queue_limit,
         retry_after=args.retry_after,
         oplog=OpLogger(path=args.oplog) if args.oplog else None,
@@ -1146,9 +1145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--jobs", type=_positive_int, default=1,
                    help="worker processes of the underlying sweep runner")
     p.add_argument("--max-batch", type=_positive_int, default=8,
-                   help="largest batch dispatched to the runner")
-    p.add_argument("--batch-window", type=float, default=0.05,
-                   help="seconds to wait for submissions to coalesce")
+                   help="largest batch dispatched to the runner; a "
+                        "batch is whatever is queued, up to this many")
     p.add_argument("--queue-limit", type=_positive_int, default=64,
                    help="admission queue bound; beyond it submissions "
                         "get 429 + Retry-After")
@@ -1197,9 +1195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--jobs", type=_positive_int, default=1,
                    help="worker processes per shard's sweep runner")
     p.add_argument("--max-batch", type=_positive_int, default=8,
-                   help="largest chunk forwarded to one shard at once "
-                        "(the fleet's only batch: shards run without a "
-                        "batching window)")
+                   help="largest chunk forwarded to one shard at once, "
+                        "and each shard's largest batch")
     p.add_argument("--queue-limit", type=_positive_int, default=64,
                    help="per-shard admission queue bound; the router "
                         "keeps at most this many jobs in flight per shard")

@@ -2,9 +2,9 @@
 
 ``cohort serve`` turns the repository's :class:`~repro.runner.SweepRunner`
 into a long-lived JSON-over-HTTP service: submissions from many clients
-are coalesced into runner batches inside a micro-batching window, share
-one on-disk result cache, and are admission-controlled by a bounded
-queue with explicit backpressure.  See ``docs/serving.md``.
+queue up and run as batches of whatever is queued (up to ``max_batch``),
+share one on-disk result cache, and are admission-controlled by a
+bounded queue with explicit backpressure.  See ``docs/serving.md``.
 
 ``cohort fleet`` (:mod:`repro.serve.fleet`) scales that out and makes it
 self-healing: a :class:`ShardSupervisor` spawns N serve shards as
@@ -17,7 +17,10 @@ Public surface:
 
 * :class:`BatchingService` — queue + batcher over one runner,
 * :class:`JobSpec` / :class:`JobRecord` — submissions and their lifecycle,
-* :class:`ServeApp` / :func:`run_server` — the asyncio HTTP front-end,
+* :class:`JobTable` — the job records of a service or a fleet router,
+  with the live (unfinished) set and the one ``finish``,
+* :class:`ServeApp` / :func:`run_server` — the asyncio HTTP front-end
+  (routes and lifecycle shared with the fleet router),
 * :class:`ServerThread` — in-process server for tests/benchmarks,
 * :class:`ServeClient` — synchronous stdlib client (``cohort submit``),
   with bounded retries for both backpressure and transient connections,
@@ -64,6 +67,7 @@ from repro.serve.service import (
     JobRecord,
     JobSpec,
     JobSpecError,
+    JobTable,
     QueueFullError,
     ServeError,
 )
@@ -79,6 +83,7 @@ __all__ = [
     "JobRecord",
     "JobSpec",
     "JobSpecError",
+    "JobTable",
     "LoadGenerator",
     "LoadgenReport",
     "QueueFullError",

@@ -1,21 +1,27 @@
-"""A synchronous stdlib client for ``cohort serve``.
+"""Stdlib clients for ``cohort serve`` and ``cohort fleet``.
 
-One class, no dependencies: submit jobs, honour backpressure
-(``429`` + ``Retry-After``) with bounded jittered backoff, propagate
-trace context (``X-Trace-Id``), poll until completion, read health and
-metrics.  Used by ``cohort submit``, the serve benchmarks and the CI
-smoke script — and small enough to copy into an external driver.
+:class:`ServeClient` is synchronous, with no dependencies: submit jobs,
+honour backpressure (``429`` + ``Retry-After``) with bounded jittered
+backoff, propagate trace context (``X-Trace-Id``), poll until
+completion, read health and metrics.  Used by ``cohort submit``, the
+serve benchmarks and the CI smoke script — and small enough to copy
+into an external driver.
+
+:func:`http_json` is one JSON-over-HTTP request on an event loop, for
+the fleet router's shard traffic and the load generator; every way a
+peer can be unreachable surfaces as :class:`ShardUnreachableError`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import random
 import socket
 import time
 import urllib.parse
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.ops import OpLogger, new_trace_id
 from repro.serve.service import JobSpec, ServeError
@@ -386,3 +392,87 @@ class ServeClient:
         ids = [doc["id"] for doc in accepted]
         finished = self.wait(ids, timeout=timeout, poll=poll)
         return [finished[job_id] for job_id in ids]
+
+
+class ShardUnreachableError(ConnectionError):
+    """A shard did not answer an HTTP request (down, hung, or refusing)."""
+
+
+async def http_json(
+    host: str,
+    port: int,
+    method: str,
+    path: str,
+    doc: Optional[Any] = None,
+    timeout: float = 5.0,
+    headers: Optional[Dict[str, str]] = None,
+) -> Tuple[int, Any]:
+    """One JSON-over-HTTP request on the event loop; ``(status, doc)``.
+
+    Anything that smells like an unreachable peer — refused/reset
+    connections, timeouts, a torn response — raises
+    :class:`ShardUnreachableError` so callers have a single failure
+    signal to feed the circuit breaker.
+    """
+
+    async def _talk() -> Tuple[int, Any]:
+        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            body = b"" if doc is None else json.dumps(doc).encode()
+            head = (
+                f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {host}:{port}\r\n"
+                f"Connection: close\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+            if body:
+                head += "Content-Type: application/json\r\n"
+            for key, value in (headers or {}).items():
+                head += f"{key}: {value}\r\n"
+            writer.write(head.encode("latin-1") + b"\r\n" + body)
+            await writer.drain()
+            status_line = await reader.readline()
+            parts = status_line.decode("latin-1", "replace").split()
+            if len(parts) < 2 or not parts[1].isdigit():
+                raise ShardUnreachableError("malformed status line")
+            status = int(parts[1])
+            length: Optional[int] = None
+            while True:
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                key, _, value = (
+                    line.decode("latin-1", "replace").partition(":")
+                )
+                if key.strip().lower() == "content-length":
+                    try:
+                        length = int(value)
+                    except ValueError:
+                        raise ShardUnreachableError("bad content-length")
+            payload = (
+                await reader.readexactly(length)
+                if length
+                else await reader.read()
+            )
+            parsed = json.loads(payload) if payload else None
+            return status, parsed
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    try:
+        return await asyncio.wait_for(_talk(), timeout)
+    except ShardUnreachableError:
+        raise
+    except (
+        OSError,
+        asyncio.TimeoutError,
+        asyncio.IncompleteReadError,
+        ValueError,
+    ) as exc:
+        raise ShardUnreachableError(
+            f"{method} {path} on {host}:{port}: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -17,8 +17,8 @@ hardened on-disk result cache — and puts a supervising router in front:
   ``shard_queue_limit`` jobs in flight per shard (so the router never
   causes its own 429s).  The *collector* chases every in-flight job
   with one batched ``POST /jobs/poll`` per pass, pausing
-  :data:`COLLECT_INTERVAL` seconds between passes.  The chunk is the
-  fleet's only batch: shards run with no batching window of their own.
+  :data:`COLLECT_INTERVAL` seconds between passes.  A shard batches
+  whatever the router has forwarded to it, up to ``max_batch``.
 * **Durability** — every accepted job is appended to a per-shard
   write-ahead intake journal (schema-versioned JSONL,
   :data:`repro.obs.schema.INTAKE_JOURNAL_SCHEMA`) and ``fsync``'d
@@ -47,9 +47,10 @@ for the failure-mode map.
 from __future__ import annotations
 
 import asyncio
+import bisect
+import hashlib
 import json
 import os
-import signal
 import socket
 import subprocess
 import sys
@@ -57,18 +58,21 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
-
-import hashlib
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.obs.ops import OpLogger
+from repro.obs.promexport import prometheus_from_fleet_metrics
 from repro.obs.schema import FLEET_METRICS_SCHEMA, INTAKE_JOURNAL_SCHEMA
-from repro.serve.server import JsonHttpApp, _write_json_atomic, poll_jobs_route
+from repro.serve.client import ShardUnreachableError, http_json
+from repro.serve.server import AppThread, JsonHttpApp, serve_app
 from repro.serve.service import (
     DrainingError,
+    JobRecord,
     JobSpec,
     JobSpecError,
+    JobTable,
     QueueFullError,
+    per_job_trace_ids,
 )
 
 __all__ = [
@@ -91,90 +95,6 @@ def free_port(host: str = "127.0.0.1") -> int:
     with socket.socket() as sock:
         sock.bind((host, 0))
         return int(sock.getsockname()[1])
-
-
-class ShardUnreachableError(ConnectionError):
-    """A shard did not answer an HTTP request (down, hung, or refusing)."""
-
-
-async def _http_json(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    doc: Optional[Any] = None,
-    timeout: float = 5.0,
-    headers: Optional[Dict[str, str]] = None,
-) -> Tuple[int, Any]:
-    """One JSON-over-HTTP request on the event loop; ``(status, doc)``.
-
-    Anything that smells like an unreachable peer — refused/reset
-    connections, timeouts, a torn response — raises
-    :class:`ShardUnreachableError` so callers have a single failure
-    signal to feed the circuit breaker.
-    """
-
-    async def _talk() -> Tuple[int, Any]:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            body = b"" if doc is None else json.dumps(doc).encode()
-            head = (
-                f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                f"Connection: close\r\n"
-                f"Content-Length: {len(body)}\r\n"
-            )
-            if body:
-                head += "Content-Type: application/json\r\n"
-            for key, value in (headers or {}).items():
-                head += f"{key}: {value}\r\n"
-            writer.write(head.encode("latin-1") + b"\r\n" + body)
-            await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1", "replace").split()
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise ShardUnreachableError("malformed status line")
-            status = int(parts[1])
-            length: Optional[int] = None
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                key, _, value = (
-                    line.decode("latin-1", "replace").partition(":")
-                )
-                if key.strip().lower() == "content-length":
-                    try:
-                        length = int(value)
-                    except ValueError:
-                        raise ShardUnreachableError("bad content-length")
-            payload = (
-                await reader.readexactly(length)
-                if length
-                else await reader.read()
-            )
-            parsed = json.loads(payload) if payload else None
-            return status, parsed
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    try:
-        return await asyncio.wait_for(_talk(), timeout)
-    except ShardUnreachableError:
-        raise
-    except (
-        OSError,
-        asyncio.TimeoutError,
-        asyncio.IncompleteReadError,
-        ValueError,
-    ) as exc:
-        raise ShardUnreachableError(
-            f"{method} {path} on {host}:{port}: {type(exc).__name__}: {exc}"
-        ) from exc
 
 
 # -- write-ahead intake journal ---------------------------------------------
@@ -356,12 +276,13 @@ class HashRing:
             raise ValueError("ring needs at least one shard")
         self.shard_ids = list(shard_ids)
         self.vnodes = vnodes
-        self._ring: List[Tuple[int, int]] = []
-        for shard in self.shard_ids:
-            for vnode in range(vnodes):
-                point = self._hash(f"shard-{shard}#{vnode}")
-                self._ring.append((point, shard))
-        self._ring.sort()
+        ring = sorted(
+            (self._hash(f"shard-{shard}#{vnode}"), shard)
+            for shard in self.shard_ids
+            for vnode in range(vnodes)
+        )
+        self._points = [point for point, _ in ring]
+        self._owners = [shard for _, shard in ring]
 
     @staticmethod
     def _hash(value: str) -> int:
@@ -378,18 +299,9 @@ class HashRing:
         )
         if not candidates:
             return None
-        point = self._hash(key)
-        start = 0
-        lo, hi = 0, len(self._ring)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._ring[mid][0] < point:
-                lo = mid + 1
-            else:
-                hi = mid
-        start = lo
-        for offset in range(len(self._ring)):
-            _, shard = self._ring[(start + offset) % len(self._ring)]
+        start = bisect.bisect_left(self._points, self._hash(key))
+        for offset in range(len(self._owners)):
+            shard = self._owners[(start + offset) % len(self._owners)]
             if shard in candidates:
                 return shard
         return None
@@ -424,7 +336,6 @@ class CircuitBreaker:
         self.state = "closed"
         self.failures = 0
         self.opened_at = 0.0
-        self.open_count = 0
         self._cooldown = cooldown
 
     @property
@@ -445,8 +356,6 @@ class CircuitBreaker:
 
     def trip(self) -> None:
         """Open immediately (e.g. the supervisor watched the shard die)."""
-        if self.state != "open":
-            self.open_count += 1
         previous = self._cooldown if self.state != "closed" else 0.0
         self.state = "open"
         self.opened_at = self.clock()
@@ -469,7 +378,7 @@ class CircuitBreaker:
 
 
 @dataclass
-class FleetJob:
+class FleetJob(JobRecord):
     """Lifecycle of one fleet-accepted job.
 
     ``queued`` (journaled, awaiting dispatch) → ``dispatched`` (accepted
@@ -478,44 +387,17 @@ class FleetJob:
     still live) and may reassign ``shard``.
     """
 
-    id: str
-    spec: JobSpec
-    shard: int
-    trace_id: Optional[str] = None
-    status: str = "queued"
+    shard: int = 0
     remote_id: Optional[str] = None
-    submitted_at: float = 0.0
-    finished_at: Optional[float] = None
-    #: Monotonic twins of the wall-clock stamps above: the ``*_at``
-    #: fields are journal/display values, while ``duration_ms`` (and any
-    #: other elapsed-time math) derives from these so an NTP step cannot
-    #: corrupt it.
-    submitted_mono: float = 0.0
-    finished_mono: Optional[float] = None
-    result: Optional[dict] = None
-    error: Optional[str] = None
-    digest: Optional[str] = None
     attempts: int = 0
     failovers: int = 0
 
     def to_dict(self, include_result: bool = True) -> Dict[str, Any]:
         """The job record served by ``GET /jobs/<id>``."""
-        doc: Dict[str, Any] = {
-            "id": self.id,
-            "status": self.status,
-            "spec": self.spec.to_dict(),
-            "spec_key": self.spec.spec_key(),
-            "shard": self.shard,
-            "submitted_at": self.submitted_at,
-            "finished_at": self.finished_at,
-            "digest": self.digest,
-            "error": self.error,
-            "trace_id": self.trace_id,
-            "attempts": self.attempts,
-            "failovers": self.failovers,
-        }
-        if include_result:
-            doc["result"] = self.result
+        doc = super().to_dict(include_result)
+        doc.update(
+            shard=self.shard, attempts=self.attempts, failovers=self.failovers
+        )
         return doc
 
 
@@ -644,7 +526,7 @@ class ShardSupervisor:
             )
             self.shards.append(shard)
         self.ring = HashRing([s.index for s in self.shards])
-        self._jobs: Dict[str, FleetJob] = {}
+        self.jobs = JobTable()
         self._queues: Dict[int, List[FleetJob]] = {
             s.index: [] for s in self.shards
         }
@@ -656,20 +538,16 @@ class ShardSupervisor:
         self._wakeups: Dict[int, asyncio.Event] = {}
         self._tasks: List[asyncio.Task] = []
         self._draining = False
-        self._started_at = time.time()
         self._started_mono = time.monotonic()
-        # Admission accounting.  ``_pending`` counts jobs in "queued"/
-        # "dispatched" status; ``_reserved`` counts admission slots held
-        # by in-flight ``submit`` calls that have passed the limit check
-        # but not yet registered their records (journal fsyncs happen
-        # off-loop, so submit yields between check and append).  The
-        # limit check reads both, making check-and-reserve atomic.
-        self._pending = 0
+        # Admission accounting.  Pending jobs are the table's live set;
+        # ``_reserved`` counts admission slots held by in-flight
+        # ``submit`` calls that have passed the limit check but not yet
+        # registered their records (journal fsyncs happen off-loop, so
+        # submit yields between check and append).  The limit check
+        # reads both, making check-and-reserve atomic.
         self._reserved = 0
         # Fleet-level counters surfaced through /metrics.
         self.jobs_submitted = 0
-        self.jobs_completed = 0
-        self.jobs_failed = 0
         self.jobs_rejected = 0
         self.failovers = 0
         self.replayed_jobs = 0
@@ -730,9 +608,8 @@ class ShardSupervisor:
                     submitted_at=doc.get("submitted_at", time.time()),
                     submitted_mono=time.monotonic(),
                 )
-                self._jobs[record.id] = record
+                self.jobs.add(record)
                 self._queues[shard.index].append(record)
-                self._pending += 1
                 self.replayed_jobs += 1
                 self.oplog.emit(
                     "journal_replay", shard=shard.index, job_id=record.id,
@@ -742,10 +619,9 @@ class ShardSupervisor:
     async def drain(self) -> None:
         """Refuse new work, finish accepted jobs, stop shards cleanly."""
         self._draining = True
-        pending = self._pending_count()
-        self.oplog.emit("fleet_drain", pending=pending)
+        self.oplog.emit("fleet_drain", pending=len(self.jobs.live))
         self._wake_all()
-        while self._pending_count():
+        while self.jobs.live:
             await asyncio.sleep(0.02)
         shard_tasks = [
             task
@@ -795,8 +671,6 @@ class ShardSupervisor:
             "--port", str(shard.port),
             "--jobs", str(self.shard_jobs),
             "--max-batch", str(self.max_batch),
-            # The router's chunk is the fleet's only coalescing stage.
-            "--batch-window", "0",
             "--queue-limit", str(self.shard_queue_limit),
             "--cache-dir", self.cache_dir,
             "--engine", self.engine,
@@ -812,14 +686,12 @@ class ShardSupervisor:
     def _spawn(self, shard: ShardState) -> None:
         shard.port = free_port(self.host)
         env = dict(os.environ)
-        src_dir = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
+        # .../src, ahead of any inherited path, so shards run this code.
+        src_root = os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
-        src_root = os.path.dirname(src_dir)  # .../src
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing
-            else src_root + os.pathsep + existing
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (src_root, env.get("PYTHONPATH")) if path
         )
         log = open(shard.log_path, "ab")
         try:
@@ -856,7 +728,7 @@ class ShardSupervisor:
                     self._spawn(shard)
                     continue
             try:
-                status, doc = await _http_json(
+                status, doc = await http_json(
                     self.host, shard.port, "GET", "/healthz",
                     timeout=self.heartbeat_timeout,
                 )
@@ -869,19 +741,16 @@ class ShardSupervisor:
                 shard.last_healthy = now
                 shard.up_since = now
                 shard.breaker.record_success()
+                recovery_s = None  # absent from the event on first boot
                 if shard.down_since:
                     recovered = now - shard.down_since
                     self.recovery_seconds.append(recovered)
                     shard.down_since = 0.0
-                    self.oplog.emit(
-                        "shard_up", shard=shard.index, port=shard.port,
-                        pid=shard.pid, recovery_s=round(recovered, 3),
-                    )
-                else:
-                    self.oplog.emit(
-                        "shard_up", shard=shard.index, port=shard.port,
-                        pid=shard.pid,
-                    )
+                    recovery_s = round(recovered, 3)
+                self.oplog.emit(
+                    "shard_up", shard=shard.index, port=shard.port,
+                    pid=shard.pid, recovery_s=recovery_s,
+                )
                 self._wakeups[shard.index].set()
                 return
             await asyncio.sleep(0.1)
@@ -923,13 +792,16 @@ class ShardSupervisor:
         # job that failed over *to* this shard keeps its admit record
         # in the admitting shard's journal — so the sweep is the union
         # of this journal's live entries and every in-memory job this
-        # shard currently owns.
+        # shard currently owns.  Only live (unfinished) jobs matter, so
+        # the scan is bounded by ``admission_limit``, not by uptime.
         assert shard.journal is not None
         live_ids = [doc["id"] for doc in shard.journal.live_jobs()]
         seen = set(live_ids)
-        for job_id, job in self._jobs.items():
-            if job_id not in seen and job.shard == shard.index:
-                live_ids.append(job_id)
+        live_ids += [
+            job_id
+            for job_id, job in self.jobs.live.items()
+            if job_id not in seen and job.shard == shard.index
+        ]
         alive = {
             s.index
             for s in self.shards
@@ -937,8 +809,8 @@ class ShardSupervisor:
         }
         requeued = 0
         for job_id in live_ids:
-            record = self._jobs.get(job_id)
-            if record is None or record.status in ("done", "failed"):
+            record = self.jobs.live.get(job_id)
+            if record is None:  # finished already
                 continue
             if record.shard != shard.index:
                 # Admitted here but failed over to another shard, whose
@@ -948,11 +820,11 @@ class ShardSupervisor:
             record.status = "queued"
             record.remote_id = None
             requeued += 1
-            target = shard.index
-            if alive:
-                assigned = self.ring.assign(record.spec.spec_key(), alive)
-                if assigned is not None:
-                    target = assigned
+            # With no live shard the job waits, journaled, for this one.
+            target = (
+                self.ring.assign(record.spec.spec_key(), alive)
+                if alive else shard.index
+            )
             if target != record.shard:
                 record.failovers += 1
                 self.failovers += 1
@@ -1017,12 +889,11 @@ class ShardSupervisor:
             shard.state = "down"
 
     async def _probe(self, shard: ShardState) -> None:
-        now = time.monotonic()
         if not shard.proc_alive():
             self._on_shard_down(shard, "process exited")
             return
         try:
-            status, doc = await _http_json(
+            status, doc = await http_json(
                 self.host, shard.port, "GET", "/healthz",
                 timeout=self.heartbeat_timeout,
             )
@@ -1049,12 +920,6 @@ class ShardSupervisor:
 
     # -- submission / routing ------------------------------------------------
 
-    def _pending_count(self) -> int:
-        # Maintained incrementally (submit/replay +1, _finish -1): the
-        # old scan over every job ever admitted made each admission
-        # check O(total jobs) — quadratic over a long soak.
-        return self._pending
-
     def _route_key(self, key: str) -> int:
         """Pick the owning shard for a job key.
 
@@ -1074,9 +939,16 @@ class ShardSupervisor:
         return target
 
     async def submit(
-        self, specs: Sequence[JobSpec], trace_id: Optional[str] = None
+        self,
+        specs: Sequence[JobSpec],
+        trace_id: Optional[str] = None,
+        trace_ids: Optional[Sequence[Optional[str]]] = None,
     ) -> List[FleetJob]:
         """Admit ``specs`` as one all-or-nothing submission.
+
+        ``trace_id``/``trace_ids`` work as in
+        :meth:`BatchingService.submit`: each job carries its own trace
+        id through its record, journal entry and oplog events.
 
         Each accepted job is journaled (fsync'd) before this returns;
         the HTTP layer's 202 therefore only ever describes durable
@@ -1096,7 +968,8 @@ class ShardSupervisor:
             raise DrainingError("fleet is draining; not accepting jobs")
         if not specs:
             raise JobSpecError("submission contains no jobs")
-        pending = self._pending + self._reserved
+        trace_ids = per_job_trace_ids(specs, trace_id, trace_ids)
+        pending = len(self.jobs.live) + self._reserved
         if pending + len(specs) > self.admission_limit:
             self.jobs_rejected += len(specs)
             self.oplog.emit(
@@ -1117,14 +990,14 @@ class ShardSupervisor:
         now = time.time()
         records: List[FleetJob] = []
         try:
-            for spec in specs:
+            for spec, job_trace in zip(specs, trace_ids):
                 key = spec.spec_key()
                 shard_id = self._route_key(key)
                 record = FleetJob(
                     id=uuid.uuid4().hex[:12],
                     spec=spec,
                     shard=shard_id,
-                    trace_id=trace_id,
+                    trace_id=job_trace,
                     submitted_at=now,
                     submitted_mono=time.monotonic(),
                 )
@@ -1136,20 +1009,19 @@ class ShardSupervisor:
                     {
                         "id": record.id,
                         "spec": spec.to_dict(),
-                        "trace_id": trace_id,
+                        "trace_id": job_trace,
                         "submitted_at": now,
                     },
                     shard_id,
                 )
-                self._jobs[record.id] = record
+                self.jobs.add(record)
                 self._queues[shard_id].append(record)
                 shard.routed += 1
                 records.append(record)
                 # Convert one reservation into a registered pending job.
                 self._reserved -= 1
-                self._pending += 1
                 self.oplog.emit(
-                    "admit", trace_id=trace_id, job_id=record.id,
+                    "admit", trace_id=job_trace, job_id=record.id,
                     shard=shard_id, spec_key=key,
                 )
         finally:
@@ -1160,7 +1032,7 @@ class ShardSupervisor:
 
     def get(self, job_id: str) -> Optional[FleetJob]:
         """Look up a job by router-assigned id (``None`` if unknown)."""
-        return self._jobs.get(job_id)
+        return self.jobs.records.get(job_id)
 
     def _wake_all(self) -> None:
         for event in self._wakeups.values():
@@ -1181,7 +1053,7 @@ class ShardSupervisor:
         while True:
             chunk = self._take_chunk(shard.index)
             if not chunk:
-                if self._draining and not self._pending_count():
+                if self._draining and not self.jobs.live:
                     return
                 # Submissions, landed jobs, replays and a shard coming
                 # up all set this; drain cancels the loop.
@@ -1238,7 +1110,7 @@ class ShardSupervisor:
         """
         downs = shard.downs
         try:
-            status, doc = await _http_json(
+            status, doc = await http_json(
                 self.host, shard.port, "POST", "/jobs",
                 doc={
                     "jobs": [r.spec.to_dict() for r in chunk],
@@ -1296,7 +1168,7 @@ class ShardSupervisor:
         inflight = self._inflight[shard.index]
         while inflight and shard.state == "up":
             try:
-                status, doc = await _http_json(
+                status, doc = await http_json(
                     self.host, shard.port, "POST", "/jobs/poll",
                     doc={"ids": list(inflight)},
                     timeout=self.request_timeout,
@@ -1347,28 +1219,14 @@ class ShardSupervisor:
         result: Optional[dict] = None,
         error: Optional[str] = None,
     ) -> None:
-        if record.status in ("queued", "dispatched"):
-            self._pending -= 1
-        record.finished_at = time.time()
-        record.finished_mono = time.monotonic()
-        if error is None:
-            record.status = "done"
-            record.result = result
-            self.jobs_completed += 1
-        else:
-            record.status = "failed"
-            record.error = error
-            self.jobs_failed += 1
-        shard = self.shards[record.shard]
-        assert shard.journal is not None
-        # Retire from the journal that admitted the job — failover may
-        # have moved execution elsewhere, so check the admitting journal
-        # first, then the rest.
-        if not shard.journal.retire(record.id):
-            for other in self.shards:
-                assert other.journal is not None
-                if other.journal.retire(record.id):
-                    break
+        if not self.jobs.finish(record, result=result, error=error):
+            return
+        # Retire from the journal that admitted the job, which failover
+        # may have left behind on another shard.
+        for shard in self.shards:
+            assert shard.journal is not None
+            if shard.journal.retire(record.id):
+                break
         # Monotonic duration: immune to wall-clock (NTP) steps, so no
         # clamp is needed — a negative value here would be a real bug.
         self.oplog.emit(
@@ -1421,11 +1279,11 @@ class ShardSupervisor:
                 "shards_total": len(self.shards),
                 "shards_up": self.shards_up,
                 "draining": self._draining,
-                "admission_pending": self._pending_count(),
+                "admission_pending": len(self.jobs.live),
                 "admission_limit": self.admission_limit,
                 "jobs_submitted": self.jobs_submitted,
-                "jobs_completed": self.jobs_completed,
-                "jobs_failed": self.jobs_failed,
+                "jobs_completed": self.jobs.completed,
+                "jobs_failed": self.jobs.failed,
                 "jobs_rejected": self.jobs_rejected,
                 "failovers": self.failovers,
                 "replayed_jobs": self.replayed_jobs,
@@ -1465,7 +1323,7 @@ class ShardSupervisor:
             if shard.state != "up":
                 continue
             try:
-                status, snapshot = await _http_json(
+                status, snapshot = await http_json(
                     self.host, shard.port, "GET", "/metrics",
                     timeout=self.heartbeat_timeout,
                 )
@@ -1493,148 +1351,47 @@ class ShardSupervisor:
 class FleetApp(JsonHttpApp):
     """Routes HTTP requests onto one :class:`ShardSupervisor`.
 
-    Same wire contract as :class:`~repro.serve.server.ServeApp`
-    (``/healthz``, ``/metrics`` with Prometheus negotiation,
-    ``POST /jobs``, ``GET /jobs/<id>``) so :class:`ServeClient` and
-    ``cohort submit`` work against a fleet unchanged.
+    The routes are :class:`JsonHttpApp`'s, as for
+    :class:`~repro.serve.server.ServeApp`, so :class:`ServeClient` and
+    ``cohort submit`` work against a fleet unchanged.  ``/healthz``
+    reports shard health, and ``/metrics`` embeds each live shard's own
+    snapshot under ``shards[].serve``.
     """
 
-    def __init__(self, supervisor: ShardSupervisor) -> None:
-        self.supervisor = supervisor
+    name = "fleet"
+    exit_event = "fleet_exit"
+    exposition = staticmethod(prometheus_from_fleet_metrics)
 
-    async def _handle_request(self, reader):  # type: ignore[override]
-        status, doc, extra = await super()._handle_request(reader)
-        # /metrics aggregation needs awaits (shard round-trips), which
-        # the sync _route cannot do; it marks the response instead.
-        if doc == "__fleet_metrics__":
-            from repro.obs.promexport import prometheus_from_fleet_metrics
-
-            snapshot = await self.supervisor.metrics_with_shards()
-            if extra.pop("__prometheus__", None):
-                return (
-                    200,
-                    prometheus_from_fleet_metrics(snapshot),
-                    {"Content-Type":
-                     "text/plain; version=0.0.4; charset=utf-8"},
-                )
-            return 200, snapshot, {}
-        return status, doc, extra
-
-    def _route(
-        self, method: str, target: str, body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        headers = headers or {}
-        path, _, query = target.partition("?")
-        sup = self.supervisor
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            up = sup.shards_up
-            total = len(sup.shards)
-            status = (
-                "draining" if sup.draining
-                else "ok" if up == total
-                else "degraded" if up else "down"
-            )
-            return (
-                200,
-                {
-                    "status": status,
-                    "shards_up": up,
-                    "shards_total": total,
-                    "pending": sup._pending_count(),
-                },
-                {},
-            )
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            extra: Dict[str, str] = {}
-            if self._wants_prometheus(query, headers):
-                extra["__prometheus__"] = "1"
-            return 200, "__fleet_metrics__", extra
-        if path == "/jobs":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            from repro.obs.ops import new_trace_id, valid_trace_id
-
-            supplied = headers.get("x-trace-id")
-            trace_id = (
-                supplied if valid_trace_id(supplied) else new_trace_id()
-            )
-            # Coroutine: awaited by JsonHttpApp._handle_request (the
-            # supervisor's submit fsyncs journals off-loop).
-            return self._submit(body, trace_id)
-        if path == "/jobs/poll":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            return poll_jobs_route(sup.get, body)
-        if path.startswith("/jobs/"):
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            record = sup.get(path[len("/jobs/"):])
-            if record is None:
-                return 404, {"error": "unknown job id"}, {}
-            return 200, record.to_dict(include_result=True), {}
-        return 404, {"error": f"no route for {path}"}, {}
-
-    async def _submit(
-        self, body: bytes, trace_id: str
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        trace_headers = {"X-Trace-Id": trace_id}
-        try:
-            doc = json.loads(body or b"null")
-        except ValueError:
-            return (
-                400,
-                {"error": "request body is not valid JSON",
-                 "trace_id": trace_id},
-                trace_headers,
-            )
-        raw_specs = (
-            doc.get("jobs")
-            if isinstance(doc, dict) and "jobs" in doc
-            else [doc]
+    def health(self) -> Dict[str, Any]:
+        """Fleet status from shard health, plus the pending count."""
+        sup = self.backend
+        up = sup.shards_up
+        total = len(sup.shards)
+        status = (
+            "draining" if sup.draining
+            else "ok" if up == total
+            else "degraded" if up else "down"
         )
-        if not isinstance(raw_specs, list):
-            return (
-                400,
-                {"error": '"jobs" must be a list of job specs',
-                 "trace_id": trace_id},
-                trace_headers,
-            )
-        sup = self.supervisor
-        try:
-            specs = [JobSpec.from_dict(raw) for raw in raw_specs]
-            records = await sup.submit(specs, trace_id=trace_id)
-        except JobSpecError as exc:
-            return (
-                400,
-                {"error": str(exc), "trace_id": trace_id},
-                trace_headers,
-            )
-        except QueueFullError as exc:
-            return (
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{exc.retry_after}", **trace_headers},
-            )
-        except DrainingError as exc:
-            return (
-                503,
-                {"error": str(exc), "retry_after": sup.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{sup.retry_after}", **trace_headers},
-            )
-        return (
-            202,
-            {
-                "trace_id": trace_id,
-                "jobs": [r.to_dict(include_result=False) for r in records],
-            },
-            trace_headers,
+        return {
+            "status": status,
+            "shards_up": up,
+            "shards_total": total,
+            "pending": len(sup.jobs.live),
+        }
+
+    async def snapshot(self) -> Dict[str, Any]:
+        """The fleet metrics, each live shard's snapshot included."""
+        return await self.backend.metrics_with_shards()
+
+    def announce(self, host: str, port: int) -> None:
+        """``cohort fleet: router on …`` and ``fleet_listening``."""
+        shards = len(self.backend.shards)
+        print(
+            f"cohort fleet: router on http://{host}:{port} ({shards} shards)",
+            flush=True,
+        )
+        self.backend.oplog.emit(
+            "fleet_listening", host=host, port=port, shards=shards
         )
 
 
@@ -1647,48 +1404,21 @@ async def run_fleet(
     install_signal_handlers: bool = True,
     stop: Optional[asyncio.Event] = None,
 ) -> int:
-    """Serve the fleet router until SIGTERM/SIGINT, then drain.
+    """Serve the fleet router until SIGTERM/SIGINT (or ``stop``), then drain.
 
-    Mirrors :func:`repro.serve.server.run_server`: the listener stays
-    open while draining so clients can poll, submissions are refused,
-    shards drain and exit, and an optional final metrics snapshot is
-    written atomically.  Returns the port actually bound.
+    The lifecycle of :func:`repro.serve.server.run_server`: the
+    listener stays open while draining so clients can poll, submissions
+    are refused, shards drain and exit, and an optional final metrics
+    snapshot (shards included) is written atomically.  Returns the port
+    actually bound.
     """
-    app = FleetApp(supervisor)
-    await supervisor.start()
-    server = await asyncio.start_server(app.handle_connection, host, port)
-    bound_port = server.sockets[0].getsockname()[1]
-    stop_event = stop if stop is not None else asyncio.Event()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop_event.set)
-    print(
-        f"cohort fleet: router on http://{host}:{bound_port} "
-        f"({len(supervisor.shards)} shards)",
-        flush=True,
+    return await serve_app(
+        FleetApp(supervisor), host, port, metrics_out=metrics_out,
+        install_signal_handlers=install_signal_handlers, stop=stop,
     )
-    supervisor.oplog.emit(
-        "fleet_listening", host=host, port=bound_port,
-        shards=len(supervisor.shards),
-    )
-    await stop_event.wait()
-    print("cohort fleet: draining", flush=True)
-    await supervisor.drain()
-    if metrics_out:
-        _write_json_atomic(
-            metrics_out, await supervisor.metrics_with_shards()
-        )
-        print(f"cohort fleet: metrics snapshot -> {metrics_out}", flush=True)
-    server.close()
-    await server.wait_closed()
-    supervisor.oplog.emit("fleet_exit")
-    supervisor.oplog.close()
-    print("cohort fleet: drained, exiting", flush=True)
-    return bound_port
 
 
-class FleetThread:
+class FleetThread(AppThread):
     """An in-process fleet router for tests and the chaos soak.
 
     The supervisor (and its real shard subprocesses) runs on an event
@@ -1697,73 +1427,17 @@ class FleetThread:
     kill.
     """
 
+    _kind = "fleet thread"
+
     def __init__(
         self, *, host: str = "127.0.0.1", **supervisor_kwargs: Any
     ) -> None:
-        self.host = host
+        super().__init__(host, 0, timeout=120.0)
         self.supervisor_kwargs = supervisor_kwargs
         self.supervisor: Optional[ShardSupervisor] = None
-        self.port: Optional[int] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._thread: Optional[threading.Thread] = None
-        self._error: Optional[BaseException] = None
 
-    @property
-    def base_url(self) -> str:
-        if self.port is None:
-            raise RuntimeError("fleet not started")
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "FleetThread":
-        """Spawn the fleet loop; block until the router is listening."""
-        self._thread = threading.Thread(target=self._main, daemon=True)
-        self._thread.start()
-        if not self._ready.wait(timeout=120):
-            raise RuntimeError("fleet thread did not start in time")
-        if self._error is not None:
-            raise RuntimeError(f"fleet thread failed: {self._error!r}")
-        return self
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:
-            self._error = exc
-            self._ready.set()
-
-    async def _amain(self) -> None:
+    def _make_app(self) -> JsonHttpApp:
         self.supervisor = ShardSupervisor(
             host=self.host, **self.supervisor_kwargs
         )
-        app = FleetApp(self.supervisor)
-        await self.supervisor.start()
-        server = await asyncio.start_server(
-            app.handle_connection, self.host, 0
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        self._ready.set()
-        await self._stop.wait()
-        await self.supervisor.drain()
-        server.close()
-        await server.wait_closed()
-
-    def stop(self, timeout: float = 120.0) -> None:
-        """Drain the fleet, stop the loop and join the thread."""
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        if self._thread is not None:
-            self._thread.join(timeout=timeout)
-            if self._thread.is_alive():
-                raise RuntimeError("fleet thread did not drain in time")
-        if self._error is not None:
-            raise RuntimeError(f"fleet thread failed: {self._error!r}")
-
-    def __enter__(self) -> "FleetThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
+        return FleetApp(self.supervisor)

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import LatencyHistogram
 from repro.params import MSI_THETA
-from repro.serve.fleet import ShardUnreachableError, _http_json
+from repro.serve.client import ShardUnreachableError, http_json
 from repro.serve.service import JobSpec
 
 __all__ = [
@@ -322,13 +322,13 @@ class LoadGenerator:
                     max(0, int((fired - scheduled_mono) * 1e6))
                 )
                 try:
-                    status, doc = await _http_json(
+                    status, doc = await http_json(
                         self.host, self.port, "POST", "/jobs",
                         doc=spec.to_dict(),
                         timeout=self.request_timeout,
                         headers=headers,
                     )
-                except (ShardUnreachableError, asyncio.TimeoutError):
+                except ShardUnreachableError:
                     report.errors += 1
                     continue
                 report.submit_us.add(
@@ -357,12 +357,12 @@ class LoadGenerator:
             for start in range(0, len(pending), self.poll_batch):
                 chunk = pending[start:start + self.poll_batch]
                 try:
-                    status, doc = await _http_json(
+                    status, doc = await http_json(
                         self.host, self.port, "POST", "/jobs/poll",
                         doc={"ids": chunk, "include_result": False},
                         timeout=self.request_timeout,
                     )
-                except (ShardUnreachableError, asyncio.TimeoutError):
+                except ShardUnreachableError:
                     break
                 if status != 200 or not isinstance(doc, dict):
                     break

@@ -1,11 +1,14 @@
-"""The JSON-over-HTTP front-end of ``cohort serve``.
+"""The JSON-over-HTTP front-end and lifecycle of ``cohort serve`` and ``cohort fleet``.
 
 A deliberately small HTTP/1.1 server on ``asyncio.start_server`` — no
-third-party framework, one request per connection, JSON in and out:
+third-party framework, one request per connection, JSON in and out.
+:class:`JsonHttpApp` owns the routes; :class:`ServeApp` plugs a
+:class:`BatchingService` into them and ``repro.serve.fleet.FleetApp``
+the shard supervisor:
 
 * ``GET /healthz`` — liveness + drain state,
-* ``GET /metrics`` — a :data:`repro.obs.SERVE_METRICS_SCHEMA` snapshot
-  (service queue/batch counters + ``SweepRunner.telemetry()``);
+* ``GET /metrics`` — the backend's metrics snapshot (for serve a
+  :data:`repro.obs.SERVE_METRICS_SCHEMA` document);
   ``?format=prometheus`` (or an ``Accept: text/plain`` scrape header)
   selects the Prometheus text exposition of the same counters instead,
 * ``POST /jobs`` — submit ``{"jobs": [spec, …]}`` (or one bare spec);
@@ -22,21 +25,23 @@ third-party framework, one request per connection, JSON in and out:
 * ``POST /jobs/poll`` — poll many jobs in one round-trip
   (``{"ids": [...], "include_result": bool}``).
 
-``SIGTERM``/``SIGINT`` trigger a graceful drain: submissions are
-refused, queued and in-flight batches finish, final metrics/trace
-snapshots are optionally written (atomically), then the server exits 0.
+:func:`serve_app` is the one lifecycle: ``SIGTERM``/``SIGINT`` trigger
+a graceful drain — submissions are refused, queued and in-flight jobs
+finish, final snapshots are optionally written (atomically), then the
+process exits 0.  :class:`AppThread` runs it in a daemon thread.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import os
 import signal
 import tempfile
 import threading
 import urllib.parse
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.ops import new_trace_id, valid_trace_id
 from repro.obs.promexport import prometheus_from_serve_metrics
@@ -67,16 +72,28 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
+Response = Tuple[int, Any, Dict[str, str]]
+
 
 class JsonHttpApp:
-    """Minimal HTTP/1.1-over-asyncio plumbing shared by the serving apps.
+    """HTTP/1.1-over-asyncio routes onto one job backend.
 
-    Subclasses implement :meth:`_route`; everything about reading one
-    request, bounding its body, and writing the JSON (or pre-rendered
-    text) response lives here.  :class:`ServeApp` routes onto one
-    :class:`BatchingService`; ``repro.serve.fleet.FleetApp`` routes onto
-    a shard supervisor.
+    The backend (:class:`BatchingService` or the fleet's
+    ``ShardSupervisor``) provides ``start``/``drain``, ``draining``,
+    ``retry_after``, ``oplog``, ``get(job_id)`` and
+    ``submit(specs, trace_id=, trace_ids=)``, which may be a coroutine.
+    Subclasses supply what differs per backend: ``health()`` (the
+    ``/healthz`` body), ``async snapshot()`` (the ``/metrics``
+    document), ``exposition(snapshot)`` (its Prometheus text) and
+    ``announce(host, port)`` (the listening banner and oplog event),
+    plus the ``name`` and ``exit_event`` of the lifecycle.  Any route
+    may be async.
     """
+
+    def __init__(self, backend: Any) -> None:
+        self.backend = backend
+        #: The bound port, once :func:`serve_app` is listening.
+        self.port: Optional[int] = None
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -110,9 +127,7 @@ class JsonHttpApp:
         finally:
             writer.close()
 
-    async def _handle_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def _handle_request(self, reader: asyncio.StreamReader) -> Response:
         try:
             request_line = await asyncio.wait_for(reader.readline(), 30)
         except asyncio.TimeoutError:
@@ -141,20 +156,46 @@ class JsonHttpApp:
             except (asyncio.TimeoutError, asyncio.IncompleteReadError):
                 return 400, {"error": "truncated request body"}, {}
         result = self._route(method, target, body, headers)
-        if asyncio.iscoroutine(result):
-            # A route that needs the event loop (e.g. the fleet's
-            # submission path, which journals through an executor)
-            # returns a coroutine instead of a response tuple.
+        if inspect.isawaitable(result):
             result = await result
         return result
 
-    def _route(
+    async def _route(
         self, method: str, target: str, body: bytes,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Any:
-        """Dispatch one request: ``(status, doc-or-text, extra headers)``,
-        or a coroutine resolving to that tuple for async routes."""
-        raise NotImplementedError
+    ) -> Response:
+        """Dispatch one request: ``(status, doc-or-text, extra headers)``."""
+        headers = headers or {}
+        path, _, query = target.partition("?")
+        if path in ("/jobs", "/jobs/poll"):
+            allowed = "POST"
+        elif path in ("/healthz", "/metrics") or path.startswith("/jobs/"):
+            allowed = "GET"
+        else:
+            return 404, {"error": f"no route for {path}"}, {}
+        if method != allowed:
+            return 405, {"error": "method not allowed"}, {}
+        if path == "/healthz":
+            return 200, self.health(), {}
+        if path == "/metrics":
+            snapshot = await self.snapshot()
+            if self._wants_prometheus(query, headers):
+                return (
+                    200,
+                    self.exposition(snapshot),
+                    {"Content-Type": PROMETHEUS_CONTENT_TYPE},
+                )
+            return 200, snapshot, {}
+        if path == "/jobs":
+            supplied = headers.get("x-trace-id")
+            trace_id = supplied if valid_trace_id(supplied) else new_trace_id()
+            return await self._submit(body, trace_id)
+        if path == "/jobs/poll":
+            return self._poll(body)
+        record = self.backend.get(path[len("/jobs/"):])
+        if record is None:
+            return 404, {"error": "unknown job id"}, {}
+        return 200, record.to_dict(include_result=True), {}
 
     @staticmethod
     def _wants_prometheus(query: str, headers: Dict[str, str]) -> bool:
@@ -172,110 +213,25 @@ class JsonHttpApp:
         accept = headers.get("accept", "")
         return "text/plain" in accept and "application/json" not in accept
 
-
-def poll_jobs_route(
-    get, body: bytes
-) -> Tuple[int, Any, Dict[str, str]]:
-    """Shared ``POST /jobs/poll`` handler: batched status polling.
-
-    Body: ``{"ids": [...], "include_result": bool}`` (``include_result``
-    defaults to true).  Answers ``{"jobs": {id: record}, "unknown":
-    [...]}`` — one round-trip for a whole in-flight window instead of
-    one ``GET /jobs/<id>`` per job, which is what keeps high-fan-out
-    pollers (``ServeClient.wait``, the load generator) from drowning the
-    server in per-job requests.  ``get`` is the id → record lookup of
-    the owning service (:class:`BatchingService` or the fleet
-    supervisor).
-    """
-    try:
-        doc = json.loads(body or b"null")
-    except ValueError:
-        return 400, {"error": "request body is not valid JSON"}, {}
-    if not isinstance(doc, dict) or not isinstance(doc.get("ids"), list):
-        return 400, {"error": '"ids" must be a list of job ids'}, {}
-    ids = doc["ids"]
-    if not all(isinstance(job_id, str) for job_id in ids):
-        return 400, {"error": "job ids must be strings"}, {}
-    include_result = doc.get("include_result", True)
-    if not isinstance(include_result, bool):
-        return 400, {"error": '"include_result" must be a boolean'}, {}
-    jobs: Dict[str, Any] = {}
-    unknown = []
-    for job_id in ids:
-        record = get(job_id)
-        if record is None:
-            unknown.append(job_id)
-        else:
-            jobs[job_id] = record.to_dict(include_result=include_result)
-    return 200, {"jobs": jobs, "unknown": unknown}, {}
-
-
-class ServeApp(JsonHttpApp):
-    """Routes HTTP requests onto one :class:`BatchingService`."""
-
-    def __init__(self, service: BatchingService) -> None:
-        self.service = service
-
-    def _route(
-        self, method: str, target: str, body: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> Tuple[int, Any, Dict[str, str]]:
-        headers = headers or {}
-        path, _, query = target.partition("?")
-        if path == "/healthz":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            return (
-                200,
-                {
-                    "status": "draining" if self.service.draining else "ok",
-                    "queue_depth": self.service.queue_depth,
-                    "queue_limit": self.service.queue_limit,
-                },
-                {},
-            )
-        if path == "/metrics":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            if self._wants_prometheus(query, headers):
-                return (
-                    200,
-                    prometheus_from_serve_metrics(self.service.metrics()),
-                    {"Content-Type": PROMETHEUS_CONTENT_TYPE},
-                )
-            return 200, self.service.metrics(), {}
-        if path == "/jobs":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            supplied = headers.get("x-trace-id")
-            trace_id = supplied if valid_trace_id(supplied) else new_trace_id()
-            return self._submit(body, trace_id)
-        if path == "/jobs/poll":
-            if method != "POST":
-                return 405, {"error": "method not allowed"}, {}
-            return poll_jobs_route(self.service.get, body)
-        if path.startswith("/jobs/"):
-            if method != "GET":
-                return 405, {"error": "method not allowed"}, {}
-            record = self.service.get(path[len("/jobs/"):])
-            if record is None:
-                return 404, {"error": "unknown job id"}, {}
-            return 200, record.to_dict(include_result=True), {}
-        return 404, {"error": f"no route for {path}"}, {}
-
-    def _submit(
-        self, body: bytes, trace_id: str
-    ) -> Tuple[int, Any, Dict[str, str]]:
+    async def _submit(self, body: bytes, trace_id: str) -> Response:
+        """``POST /jobs``: parse, admit, and map the outcome to a status."""
         trace_headers = {"X-Trace-Id": trace_id}
+
+        def refuse(
+            status: int, error: str, retry_after: Optional[float] = None
+        ) -> Response:
+            doc: Dict[str, Any] = {"error": error}
+            extra = trace_headers
+            if retry_after is not None:
+                doc["retry_after"] = retry_after
+                extra = {"Retry-After": f"{retry_after}", **trace_headers}
+            doc["trace_id"] = trace_id
+            return status, doc, extra
+
         try:
             doc = json.loads(body or b"null")
         except ValueError:
-            return (
-                400,
-                {"error": "request body is not valid JSON",
-                 "trace_id": trace_id},
-                trace_headers,
-            )
+            return refuse(400, "request body is not valid JSON")
         if isinstance(doc, dict) and "jobs" in doc:
             raw_specs = doc.get("jobs")
             raw_traces = doc.get("trace_ids") or []
@@ -283,19 +239,9 @@ class ServeApp(JsonHttpApp):
             raw_specs = [doc]
             raw_traces = []
         if not isinstance(raw_specs, list):
-            return (
-                400,
-                {"error": '"jobs" must be a list of job specs',
-                 "trace_id": trace_id},
-                trace_headers,
-            )
+            return refuse(400, '"jobs" must be a list of job specs')
         if not isinstance(raw_traces, list):
-            return (
-                400,
-                {"error": '"trace_ids" must be a list of trace ids',
-                 "trace_id": trace_id},
-                trace_headers,
-            )
+            return refuse(400, '"trace_ids" must be a list of trace ids')
         trace_ids = [
             raw_traces[i]
             if i < len(raw_traces) and valid_trace_id(raw_traces[i])
@@ -304,30 +250,17 @@ class ServeApp(JsonHttpApp):
         ]
         try:
             specs = [JobSpec.from_dict(raw) for raw in raw_specs]
-            records = self.service.submit(
+            records = self.backend.submit(
                 specs, trace_id=trace_id, trace_ids=trace_ids
             )
+            if inspect.isawaitable(records):
+                records = await records
         except JobSpecError as exc:
-            return (
-                400,
-                {"error": str(exc), "trace_id": trace_id},
-                trace_headers,
-            )
+            return refuse(400, str(exc))
         except QueueFullError as exc:
-            return (
-                429,
-                {"error": str(exc), "retry_after": exc.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{exc.retry_after}", **trace_headers},
-            )
+            return refuse(429, str(exc), exc.retry_after)
         except DrainingError as exc:
-            return (
-                503,
-                {"error": str(exc), "retry_after": self.service.retry_after,
-                 "trace_id": trace_id},
-                {"Retry-After": f"{self.service.retry_after}",
-                 **trace_headers},
-            )
+            return refuse(503, str(exc), self.backend.retry_after)
         return (
             202,
             {
@@ -336,6 +269,66 @@ class ServeApp(JsonHttpApp):
             },
             trace_headers,
         )
+
+    def _poll(self, body: bytes) -> Response:
+        """``POST /jobs/poll``: batched status polling.
+
+        Body: ``{"ids": [...], "include_result": bool}``
+        (``include_result`` defaults to true).  Answers ``{"jobs": {id:
+        record}, "unknown": [...]}``: one round-trip for a whole
+        in-flight window, so high-fan-out pollers (``ServeClient.wait``,
+        the load generator, the fleet's collectors) do not drown the
+        server in per-job requests.
+        """
+        try:
+            doc = json.loads(body or b"null")
+        except ValueError:
+            return 400, {"error": "request body is not valid JSON"}, {}
+        if not isinstance(doc, dict) or not isinstance(doc.get("ids"), list):
+            return 400, {"error": '"ids" must be a list of job ids'}, {}
+        ids = doc["ids"]
+        if not all(isinstance(job_id, str) for job_id in ids):
+            return 400, {"error": "job ids must be strings"}, {}
+        include_result = doc.get("include_result", True)
+        if not isinstance(include_result, bool):
+            return 400, {"error": '"include_result" must be a boolean'}, {}
+        jobs: Dict[str, Any] = {}
+        unknown = []
+        for job_id in ids:
+            record = self.backend.get(job_id)
+            if record is None:
+                unknown.append(job_id)
+            else:
+                jobs[job_id] = record.to_dict(include_result=include_result)
+        return 200, {"jobs": jobs, "unknown": unknown}, {}
+
+
+class ServeApp(JsonHttpApp):
+    """Routes HTTP requests onto one :class:`BatchingService`."""
+
+    #: ``cohort <name>:`` prefixes the lifecycle's stdout lines.
+    name = "serve"
+    #: Oplog event emitted once the listener has closed.
+    exit_event = "server_exit"
+    exposition = staticmethod(prometheus_from_serve_metrics)
+
+    def health(self) -> Dict[str, Any]:
+        """Drain state and queue occupancy."""
+        service = self.backend
+        return {
+            "status": "draining" if service.draining else "ok",
+            "queue_depth": service.queue_depth,
+            "queue_limit": service.queue_limit,
+        }
+
+    async def snapshot(self) -> Dict[str, Any]:
+        """The service's serve_metrics document."""
+        return self.backend.metrics()
+
+    def announce(self, host: str, port: int) -> None:
+        """``cohort serve: listening on …`` and ``server_listening``."""
+        print(f"cohort serve: listening on http://{host}:{port}", flush=True)
+        self.backend.oplog.emit("server_listening", host=host, port=port)
 
 
 def _write_json_atomic(path: str, doc: Any) -> None:
@@ -363,6 +356,55 @@ def _write_json_atomic(path: str, doc: Any) -> None:
                 pass
 
 
+async def serve_app(
+    app: JsonHttpApp,
+    host: str,
+    port: int,
+    *,
+    metrics_out: Optional[str] = None,
+    after_drain: Optional[Callable[[], None]] = None,
+    install_signal_handlers: bool = True,
+    ready: Optional[threading.Event] = None,
+    stop: Optional[asyncio.Event] = None,
+) -> int:
+    """Start ``app``'s backend, listen, and drain on a stop signal.
+
+    Serves until SIGTERM/SIGINT (with ``install_signal_handlers``) or
+    ``stop`` is set.  The listener stays open while draining, so
+    clients can still poll while submissions get 503.  After the drain
+    the final ``/metrics`` snapshot goes to ``metrics_out`` (atomic)
+    and ``after_drain`` writes any other artefacts.  Sets ``ready`` once
+    listening (``app.port`` holds the bound port) and returns that port.
+    """
+    backend = app.backend
+    prefix = f"cohort {app.name}:"
+    await backend.start()
+    server = await asyncio.start_server(app.handle_connection, host, port)
+    app.port = server.sockets[0].getsockname()[1]
+    stop_event = stop if stop is not None else asyncio.Event()
+    if install_signal_handlers:
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, stop_event.set)
+    app.announce(host, app.port)
+    if ready is not None:
+        ready.set()
+    await stop_event.wait()
+    print(f"{prefix} draining", flush=True)
+    await backend.drain()
+    if metrics_out:
+        _write_json_atomic(metrics_out, await app.snapshot())
+        print(f"{prefix} metrics snapshot -> {metrics_out}", flush=True)
+    if after_drain is not None:
+        after_drain()
+    server.close()
+    await server.wait_closed()
+    backend.oplog.emit(app.exit_event)
+    backend.oplog.close()
+    print(f"{prefix} drained, exiting", flush=True)
+    return app.port
+
+
 async def run_server(
     service: BatchingService,
     host: str = "127.0.0.1",
@@ -379,41 +421,21 @@ async def run_server(
 
     Returns the port actually bound (useful with ``port=0``).
     ``trace_out`` exports the service-lifecycle spans of every retired
-    request as a Perfetto-loadable Chrome trace on exit.
+    request as a Perfetto-loadable Chrome trace on exit;
+    ``manifest_out`` wraps the final counters in a run manifest.
     """
-    app = ServeApp(service)
-    await service.start()
-    server = await asyncio.start_server(app.handle_connection, host, port)
-    bound_port = server.sockets[0].getsockname()[1]
-    stop_event = stop if stop is not None else asyncio.Event()
-    if install_signal_handlers:
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(sig, stop_event.set)
-    print(f"cohort serve: listening on http://{host}:{bound_port}", flush=True)
-    service.oplog.emit("server_listening", host=host, port=bound_port)
-    await stop_event.wait()
-    print("cohort serve: draining", flush=True)
-    # Keep the listener open while draining so clients can poll job
-    # status; submissions are refused with 503 once draining starts.
-    await service.drain()
-    if metrics_out:
-        _write_json_atomic(metrics_out, service.metrics())
-        print(f"cohort serve: metrics snapshot -> {metrics_out}", flush=True)
-    if trace_out:
-        _write_json_atomic(trace_out, service.service_trace())
-        print(f"cohort serve: service trace -> {trace_out}", flush=True)
-    if manifest_out:
+
+    def write_artefacts() -> None:
+        if trace_out:
+            _write_json_atomic(trace_out, service.service_trace())
+            print(f"cohort serve: service trace -> {trace_out}", flush=True)
+        if not manifest_out:
+            return
         from repro.qa import build_manifest, write_manifest
 
         snapshot = service.metrics()
         svc = snapshot["service"]
         runner = snapshot["runner"]
-        artifacts = [
-            path
-            for path in (metrics_out, trace_out, service.oplog.path)
-            if path
-        ]
         manifest = build_manifest(
             "serve", snapshot.get("label") or "serve",
             metrics={
@@ -431,7 +453,11 @@ async def run_server(
                 "oplog_events": service.oplog.events_emitted,
             },
             engine=runner["engine"],
-            artifact_paths=artifacts,
+            artifact_paths=[
+                path
+                for path in (metrics_out, trace_out, service.oplog.path)
+                if path
+            ],
         )
         fingerprint = write_manifest(manifest, manifest_out)
         print(
@@ -439,56 +465,58 @@ async def run_server(
             f"(fingerprint {fingerprint[:12]})",
             flush=True,
         )
-    server.close()
-    await server.wait_closed()
-    service.oplog.emit("server_exit")
-    service.oplog.close()
-    print("cohort serve: drained, exiting", flush=True)
-    return bound_port
+
+    return await serve_app(
+        ServeApp(service), host, port, metrics_out=metrics_out,
+        after_drain=write_artefacts,
+        install_signal_handlers=install_signal_handlers, ready=ready,
+        stop=stop,
+    )
 
 
-class ServerThread:
-    """An in-process ``cohort serve`` for tests and benchmarks.
+class AppThread:
+    """Runs :func:`serve_app` on an event loop in a daemon thread.
 
-    Runs the event loop in a daemon thread on an ephemeral port; the
-    caller talks to it over real HTTP with
-    :class:`repro.serve.client.ServeClient`.
+    The backend is built on the loop thread by :meth:`_make_app`; the
+    caller talks to it over real HTTP.  ``timeout`` bounds both the
+    wait for the listener and the drain on :meth:`stop`.
     """
 
-    def __init__(
-        self,
-        *,
-        runner: Optional[SweepRunner] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        **service_kwargs: Any,
-    ) -> None:
-        self.runner = runner if runner is not None else SweepRunner(jobs=1)
-        self.service_kwargs = service_kwargs
+    def __init__(self, host: str, port: int, timeout: float) -> None:
         self.host = host
         self._requested_port = port
-        self.port: Optional[int] = None
-        self.service: Optional[BatchingService] = None
+        self._timeout = timeout
+        self._app: Optional[JsonHttpApp] = None
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
         self._error: Optional[BaseException] = None
 
+    #: Names the thread in start/stop errors.
+    _kind = "app thread"
+
+    def _make_app(self) -> JsonHttpApp:
+        raise NotImplementedError
+
+    @property
+    def port(self) -> Optional[int]:
+        return self._app.port if self._app is not None else None
+
     @property
     def base_url(self) -> str:
         if self.port is None:
-            raise RuntimeError("server not started")
+            raise RuntimeError(f"{self._kind} not started")
         return f"http://{self.host}:{self.port}"
 
-    def start(self) -> "ServerThread":
-        """Start the server thread and block until it is accepting."""
+    def start(self) -> "AppThread":
+        """Start the thread and block until it is accepting."""
         self._thread = threading.Thread(target=self._main, daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout=30):
-            raise RuntimeError("serve thread did not start in time")
+        if not self._ready.wait(timeout=self._timeout):
+            raise RuntimeError(f"{self._kind} did not start in time")
         if self._error is not None:
-            raise RuntimeError(f"serve thread failed: {self._error!r}")
+            raise RuntimeError(f"{self._kind} failed: {self._error!r}")
         return self
 
     def _main(self) -> None:
@@ -499,34 +527,58 @@ class ServerThread:
             self._ready.set()
 
     async def _amain(self) -> None:
-        self.service = BatchingService(self.runner, **self.service_kwargs)
-        app = ServeApp(self.service)
-        await self.service.start()
-        server = await asyncio.start_server(
-            app.handle_connection, self.host, self._requested_port
-        )
-        self.port = server.sockets[0].getsockname()[1]
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self._ready.set()
-        await self._stop.wait()
-        await self.service.drain()
-        server.close()
-        await server.wait_closed()
+        self._app = self._make_app()
+        await serve_app(
+            self._app, self.host, self._requested_port,
+            install_signal_handlers=False, ready=self._ready,
+            stop=self._stop,
+        )
 
-    def stop(self, timeout: float = 60.0) -> None:
+    def stop(self, timeout: Optional[float] = None) -> None:
         """Trigger a graceful drain and wait for the thread to exit."""
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(
+                timeout=self._timeout if timeout is None else timeout
+            )
             if self._thread.is_alive():
-                raise RuntimeError("serve thread did not drain in time")
+                raise RuntimeError(f"{self._kind} did not drain in time")
         if self._error is not None:
-            raise RuntimeError(f"serve thread failed: {self._error!r}")
+            raise RuntimeError(f"{self._kind} failed: {self._error!r}")
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self) -> "AppThread":
         return self.start()
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+
+class ServerThread(AppThread):
+    """An in-process ``cohort serve`` for tests and benchmarks.
+
+    Talk to it over real HTTP with
+    :class:`repro.serve.client.ServeClient`; ``.service`` is the
+    :class:`BatchingService` once started.
+    """
+
+    _kind = "serve thread"
+
+    def __init__(
+        self,
+        *,
+        runner: Optional[SweepRunner] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        **service_kwargs: Any,
+    ) -> None:
+        super().__init__(host, port, timeout=60.0)
+        self.runner = runner if runner is not None else SweepRunner(jobs=1)
+        self.service_kwargs = service_kwargs
+        self.service: Optional[BatchingService] = None
+
+    def _make_app(self) -> JsonHttpApp:
+        self.service = BatchingService(self.runner, **self.service_kwargs)
+        return ServeApp(self.service)

@@ -1,4 +1,4 @@
-"""Job specs, records, and the micro-batching core of ``cohort serve``.
+"""Job specs, records, the job table, and the batching core of ``cohort serve``.
 
 The service turns independent HTTP submissions into
 :class:`~repro.runner.SweepRunner` batches:
@@ -6,15 +6,20 @@ The service turns independent HTTP submissions into
 * a **bounded admission queue** (``queue_limit``) gives explicit
   backpressure — a submission that does not fit is rejected with a
   ``retry_after`` hint instead of being buffered without bound;
-* a **micro-batching window** (``batch_window`` seconds, ``max_batch``
-  jobs) coalesces near-simultaneous submissions so the runner amortises
-  process-pool dispatch and so duplicate jobs from different clients
-  collapse onto the shared on-disk result cache;
+* the batcher takes **whatever is queued**, up to ``max_batch`` jobs,
+  as the next batch: submissions that arrive while a batch executes
+  coalesce into the one after it, so duplicate jobs from different
+  clients collapse onto the shared on-disk result cache without any
+  timed wait;
 * batches execute on a thread-pool executor, keeping the event loop
   (and therefore ``/healthz``, ``/metrics`` and status polling)
   responsive while simulations run;
 * **graceful drain**: once draining, new submissions are refused while
   queued and in-flight jobs run to completion.
+
+:class:`JobTable` holds the records of both this service and the fleet
+router (:class:`repro.serve.fleet.ShardSupervisor`): every admitted
+job, the live (unfinished) subset, and the one idempotent ``finish``.
 
 Everything here is asyncio + stdlib; the HTTP front-end lives in
 :mod:`repro.serve.server` and a synchronous client in
@@ -28,8 +33,11 @@ import hashlib
 import json
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.obs.metrics import LatencyHistogram
 from repro.obs.ops import OpLogger, build_service_trace
@@ -57,6 +65,19 @@ class QueueFullError(ServeError):
 
 class DrainingError(ServeError):
     """The service is shutting down and refuses new submissions."""
+
+
+def per_job_trace_ids(
+    specs: Sequence[Any],
+    trace_id: Optional[str],
+    trace_ids: Optional[Sequence[Optional[str]]],
+) -> List[Optional[str]]:
+    """One trace id per spec: ``trace_ids`` if given, else ``trace_id``."""
+    if trace_ids is None:
+        return [trace_id] * len(specs)
+    if len(trace_ids) != len(specs):
+        raise ValueError("trace_ids must match specs one to one")
+    return list(trace_ids)
 
 
 @dataclass(frozen=True)
@@ -214,8 +235,56 @@ class JobRecord:
         return doc
 
 
+class JobTable:
+    """Every admitted job by id, plus the live (unfinished) subset.
+
+    Shared by :class:`BatchingService` and the fleet's
+    ``ShardSupervisor``; like them, it is touched only from the event
+    loop thread.  ``live`` keeps admission order, so a scan over it
+    (drain, failover) costs the jobs still in flight, not every job the
+    service has ever seen.
+    """
+
+    def __init__(self) -> None:
+        self.records: Dict[str, JobRecord] = {}
+        self.live: Dict[str, JobRecord] = {}
+        self.completed = 0
+        self.failed = 0
+
+    def add(self, record: JobRecord) -> None:
+        """Register a newly admitted (or replayed) record as live."""
+        self.records[record.id] = record
+        self.live[record.id] = record
+
+    def finish(
+        self,
+        record: JobRecord,
+        result: Optional[dict] = None,
+        error: Optional[str] = None,
+    ) -> bool:
+        """Mark ``record`` done (or failed, when ``error`` is given).
+
+        Stamps the wall and monotonic finish times and counts the
+        outcome.  Idempotent: a record that already finished is left
+        untouched and ``False`` is returned.
+        """
+        if self.live.pop(record.id, None) is None:
+            return False
+        record.finished_at = time.time()
+        record.finished_mono = time.monotonic()
+        if error is None:
+            record.status = "done"
+            record.result = result
+            self.completed += 1
+        else:
+            record.status = "failed"
+            record.error = error
+            self.failed += 1
+        return True
+
+
 class BatchingService:
-    """Bounded-queue micro-batching front-end over one ``SweepRunner``.
+    """Bounded-queue batching front-end over one ``SweepRunner``.
 
     All public methods must be called from the event loop thread (the
     HTTP handlers and the batcher share one loop, so queue accounting
@@ -228,7 +297,6 @@ class BatchingService:
         runner: SweepRunner,
         *,
         max_batch: int = 8,
-        batch_window: float = 0.05,
         queue_limit: int = 64,
         retry_after: float = 0.5,
         label: str = "serve",
@@ -236,31 +304,25 @@ class BatchingService:
     ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if retry_after <= 0:
             raise ValueError("retry_after must be > 0")
         self.runner = runner
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.queue_limit = queue_limit
         self.retry_after = retry_after
         self.label = label
-        self._queue: List[JobRecord] = []
-        self._jobs: Dict[str, JobRecord] = {}
+        self.jobs = JobTable()
+        self._queue: Deque[JobRecord] = deque()
         self._wakeup = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
         self._draining = False
-        self._inflight = 0
         self._started_mono = time.monotonic()
         # Counters surfaced through /metrics.
         self.jobs_submitted = 0
         self.jobs_rejected = 0
         self.jobs_dispatched = 0
-        self.jobs_completed = 0
-        self.jobs_failed = 0
         self.batches = 0
         self.max_queue_depth = 0
         self._batch_sizes = LatencyHistogram()
@@ -274,9 +336,7 @@ class BatchingService:
             runner.oplog = self.oplog
         #: Per-request service-lifecycle rows for the Perfetto export
         #: (bounded: oldest rows drop first on very long runs).
-        self.trace_rows: List[Dict[str, Any]] = []
-        self.trace_rows_limit = 10000
-        self.trace_rows_dropped = 0
+        self.trace_rows: Deque[Dict[str, Any]] = deque(maxlen=10000)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -290,14 +350,19 @@ class BatchingService:
     def draining(self) -> bool:
         return self._draining
 
+    @property
+    def inflight(self) -> int:
+        """Jobs taken off the queue whose batch has not finished."""
+        return len(self.jobs.live) - len(self._queue)
+
     async def drain(self) -> None:
         """Refuse new submissions; wait for queued + in-flight jobs."""
         self._draining = True
         self.oplog.emit(
-            "drain", queued=len(self._queue), inflight=self._inflight
+            "drain", queued=len(self._queue), inflight=self.inflight
         )
         self._wakeup.set()
-        while self._queue or self._inflight:
+        while self.jobs.live:
             await asyncio.sleep(0.01)
         if self._task is not None:
             await self._task
@@ -328,10 +393,7 @@ class BatchingService:
             raise DrainingError("service is draining; not accepting jobs")
         if not specs:
             raise JobSpecError("submission contains no jobs")
-        if trace_ids is None:
-            trace_ids = [trace_id] * len(specs)
-        elif len(trace_ids) != len(specs):
-            raise ValueError("trace_ids must match specs one to one")
+        trace_ids = per_job_trace_ids(specs, trace_id, trace_ids)
         # Check-and-admit is one atomic step: nothing between the limit
         # check and the final append yields to the event loop (no awaits,
         # no blocking I/O beyond the oplog write), so two concurrent
@@ -359,7 +421,7 @@ class BatchingService:
                 id=uuid.uuid4().hex[:12], spec=spec, submitted_at=now,
                 submitted_mono=now_mono, trace_id=job_trace,
             )
-            self._jobs[record.id] = record
+            self.jobs.add(record)
             self._queue.append(record)
             records.append(record)
             self.oplog.emit(
@@ -373,7 +435,7 @@ class BatchingService:
 
     def get(self, job_id: str) -> Optional[JobRecord]:
         """Look up a job record by id (None if unknown)."""
-        return self._jobs.get(job_id)
+        return self.jobs.records.get(job_id)
 
     @property
     def queue_depth(self) -> int:
@@ -388,30 +450,14 @@ class BatchingService:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            batch = await self._gather_batch()
-            await self._execute(batch)
+            await self._execute(self._take_batch())
 
-    async def _gather_batch(self) -> List[JobRecord]:
-        """Pop one job, then coalesce arrivals inside the window."""
-        loop = asyncio.get_running_loop()
-        batch = [self._queue.pop(0)]
-        deadline = loop.time() + self.batch_window
-        while len(batch) < self.max_batch:
-            if self._queue:
-                batch.append(self._queue.pop(0))
-                continue
-            remaining = deadline - loop.time()
-            if remaining <= 0 or self._draining:
-                break
-            self._wakeup.clear()
-            try:
-                await asyncio.wait_for(self._wakeup.wait(), remaining)
-            except asyncio.TimeoutError:
-                break
-        return batch
+    def _take_batch(self) -> List[JobRecord]:
+        """Pop whatever is queued, up to ``max_batch`` jobs, in order."""
+        count = min(len(self._queue), self.max_batch)
+        return [self._queue.popleft() for _ in range(count)]
 
     async def _execute(self, batch: List[JobRecord]) -> None:
-        self._inflight = len(batch)
         started = time.time()
         started_mono = time.monotonic()
         for record in batch:
@@ -428,34 +474,20 @@ class BatchingService:
         self.batches += 1
         self.jobs_dispatched += len(batch)
         loop = asyncio.get_running_loop()
+        error: Optional[str] = None
         try:
             outcome = await loop.run_in_executor(
                 None, self._run_batch, batch
             )
         except Exception as exc:  # runner failure fails the whole batch
-            executed = time.time()
-            detail = f"{type(exc).__name__}: {exc}"
-            for record in batch:
-                record.status = "failed"
-                record.error = detail
-                record.executed_at = executed
-                record.finished_at = time.time()
-                record.finished_mono = time.monotonic()
-                self._retire(record)
-            self.jobs_failed += len(batch)
-        else:
-            executed = time.time()
-            for record, (digest, result) in zip(batch, outcome):
-                record.status = "done"
-                record.digest = digest
-                record.result = result
-                record.executed_at = executed
-                record.finished_at = time.time()
-                record.finished_mono = time.monotonic()
-                self._retire(record)
-            self.jobs_completed += len(batch)
-        finally:
-            self._inflight = 0
+            error = f"{type(exc).__name__}: {exc}"
+            outcome = [(None, None)] * len(batch)
+        executed = time.time()
+        for record, (digest, result) in zip(batch, outcome):
+            record.digest = digest
+            record.executed_at = executed
+            self.jobs.finish(record, result=result, error=error)
+            self._retire(record)
 
     def _retire(self, record: JobRecord) -> None:
         """Log one finished job and record its service-lifecycle row."""
@@ -467,9 +499,6 @@ class BatchingService:
             duration_ms=(record.finished_mono - record.submitted_mono)
             * 1000,
         )
-        if len(self.trace_rows) >= self.trace_rows_limit:
-            self.trace_rows.pop(0)
-            self.trace_rows_dropped += 1
         self.trace_rows.append(
             {
                 "trace_id": record.trace_id,
@@ -519,16 +548,15 @@ class BatchingService:
             "service": {
                 "queue_depth": len(self._queue),
                 "queue_limit": self.queue_limit,
-                "inflight": self._inflight,
+                "inflight": self.inflight,
                 "draining": self._draining,
                 "max_batch": self.max_batch,
-                "batch_window": self.batch_window,
                 "retry_after": self.retry_after,
                 "jobs_submitted": self.jobs_submitted,
                 "jobs_rejected": self.jobs_rejected,
                 "jobs_dispatched": self.jobs_dispatched,
-                "jobs_completed": self.jobs_completed,
-                "jobs_failed": self.jobs_failed,
+                "jobs_completed": self.jobs.completed,
+                "jobs_failed": self.jobs.failed,
                 "batches": self.batches,
                 "max_queue_depth": self.max_queue_depth,
                 "batch_sizes": self._batch_sizes.to_dict(),

@@ -91,12 +91,12 @@ class CacheLine:
         sampler reads it in O(1) instead of scanning the array)."""
         self.pending_inv_since = now
         if self.owner is not None:
-            self.owner._pending_count += 1
+            self.owner._pending_lines += 1
 
     def clear_pending(self) -> None:
         """Clear all pending-invalidation state (after a handover)."""
         if self.pending_inv_since is not None and self.owner is not None:
-            self.owner._pending_count -= 1
+            self.owner._pending_lines -= 1
         self.pending_inv_since = None
         self.pending_is_downgrade = False
         self.inv_at = None
@@ -116,7 +116,7 @@ class DirectMappedArray:
     """Storage of a direct-mapped private cache (one line per set)."""
 
     __slots__ = ("geometry", "_lines", "_set_mask", "_valid_count",
-                 "_pending_count")
+                 "_pending_lines")
 
     def __init__(self, geometry: CacheGeometry) -> None:
         if geometry.ways != 1:
@@ -129,7 +129,7 @@ class DirectMappedArray:
         #: to a mask — the hot paths use it instead of ``set_index``.
         self._set_mask = geometry.num_sets - 1
         self._valid_count = 0
-        self._pending_count = 0
+        self._pending_lines = 0
 
     def slot(self, line_addr: int) -> CacheLine:
         """The (single) slot a line address maps to."""
@@ -174,7 +174,7 @@ class DirectMappedArray:
         Maintained by :meth:`CacheLine.arm_pending` /
         :meth:`CacheLine.clear_pending`; the telemetry sampler reads it
         every sample, so it must not require a scan."""
-        return self._pending_count
+        return self._pending_lines
 
     def recount(self) -> int:
         """Recompute the valid-line count by scanning (O(num_sets)).

@@ -78,6 +78,21 @@ class TestHashRing:
         with pytest.raises(ValueError):
             HashRing([])
 
+    def test_owners_are_pinned(self):
+        # Owners recorded from the original hand-rolled binary search;
+        # any change to the lookup must move no key ("wrap-80" hashes
+        # past the last virtual node and wraps to the first).
+        ring = HashRing([0, 1, 2])
+        pinned = {
+            "job-0": (1, 1), "job-1": (0, 0), "job-2": (2, 1),
+            "job-3": (2, 0), "job-7": (0, 0), "job-42": (1, 1),
+            "a3f9c2e1b4d5a6f7": (1, 1), "": (0, 0), "wrap-80": (0, 0),
+        }
+        for key, (owner, without_2) in pinned.items():
+            assert ring.assign(key) == owner, key
+            assert ring.assign(key, allowed={0, 1}) == without_2, key
+        assert ring.assign("wrap-80", allowed={1, 2}) == 2
+
 
 class TestCircuitBreaker:
     def _clocked(self, **kwargs):
@@ -206,6 +221,52 @@ class TestSupervisorFailover:
         assert sup._take_chunk(a) == []
         assert record not in sup._queues[b]
 
+    def test_failover_touches_only_live_jobs(self, tmp_path):
+        # Failover cost is bounded by the live set, not by uptime: the
+        # many finished records are never scanned, and exactly the live
+        # jobs the dead shard owns are requeued onto the survivor.
+        from repro.serve import JobSpec
+
+        sup = self._supervisor(tmp_path)
+        specs = [
+            JobSpec.from_dict(dict(TINY, seed=seed)) for seed in range(60)
+        ]
+        records = asyncio.run(sup.submit(specs))
+        victim = records[0].shard
+        owned = [r for r in records if r.shard == victim][:3]
+        others = [r for r in records if r.shard != victim][:2]
+        keep = {r.id for r in owned + others}
+        for record in records:
+            if record.id not in keep:
+                sup._finish(record, result={"final_cycle": 1})
+        for record in owned:
+            sup._queues[victim].remove(record)
+            record.status = "dispatched"
+            record.remote_id = f"remote-{record.id}"
+
+        class NoScan(dict):
+            def __iter__(self):
+                raise AssertionError("failover scanned every job record")
+
+            items = keys = values = __iter__
+
+        sup.jobs.records = NoScan(sup.jobs.records)
+        replayed = sup.replayed_jobs
+        sup._on_shard_down(sup.shards[victim], "test kill")
+        assert sup.replayed_jobs - replayed == 3
+        survivor = 1 - victim
+        assert all(
+            r.status == "queued" and r.shard == survivor and r.failovers == 1
+            for r in owned
+        )
+        assert all(r.status == "queued" and r.failovers == 0 for r in others)
+        live_ids = {r.id for r in owned + others}
+        assert set(sup.jobs.live) == live_ids
+        finished = [r for r in records if r.id not in live_ids]
+        assert len(finished) == 55
+        assert all(r.status == "done" for r in finished)
+        assert not any(r.id in sup.jobs.live for r in finished)
+
     def _hand_built_chunk(self, sup, count):
         from repro.serve import JobSpec
         from repro.serve.fleet import FleetJob
@@ -218,7 +279,7 @@ class TestSupervisorFailover:
             for i in range(count)
         ]
         for record in chunk:
-            sup._jobs[record.id] = record
+            sup.jobs.add(record)
         return chunk
 
     def test_unreachable_shard_requeues_whole_chunk(self, tmp_path):
@@ -347,7 +408,7 @@ class _StubShard:
             def _route(self, method, target, body, headers=None):
                 return stub.route(target, json.loads(body or b"null"))
 
-        self.app = App()
+        self.app = App(None)
         self.answer = answer
         self.finish_all = finish_all
         self.rng = rng
@@ -497,7 +558,7 @@ class TestRouterPipeline:
         assert [r.result for r in records] == [
             {"remote": r.remote_id} for r in records
         ]
-        assert sup._pending_count() == 0
+        assert not sup.jobs.live
 
     def test_in_flight_jobs_never_exceed_shard_queue_limit(self, tmp_path):
         sup = self._supervisor(tmp_path, max_batch=2, shard_queue_limit=3)
@@ -660,9 +721,9 @@ class TestRouterPipeline:
             return records
 
         records = asyncio.run(scenario())
-        assert sup.jobs_completed == len(records)
-        assert sup.jobs_failed == 0
-        assert sup._pending_count() == 0
+        assert sup.jobs.completed == len(records)
+        assert sup.jobs.failed == 0
+        assert not sup.jobs.live
         assert not any(sup._inflight.values())
         assert all(s.journal.live_count == 0 for s in sup.shards)
         assert [r.result for r in records] == [
@@ -677,7 +738,7 @@ class TestRouterPipeline:
 
         sup = self._supervisor(tmp_path)
         runner = SweepRunner(jobs=1, cache_dir=str(tmp_path / "shard"))
-        with ServerThread(runner=runner, batch_window=0.0) as shard_thread:
+        with ServerThread(runner=runner) as shard_thread:
             sup.shards[0].port = shard_thread.port
 
             async def scenario():
@@ -698,6 +759,72 @@ class TestRouterPipeline:
         assert [r.status for r in records] == ["done", "done"]
         assert [r.trace_id for r in records] == ["client-a", "client-b"]
         assert [r.trace_id for r in remote] == ["client-a", "client-b"]
+
+
+class TestFleetSubmissionOverHTTP:
+    def test_post_jobs_honours_per_job_trace_ids(self, tmp_path):
+        # A router POST /jobs carrying "trace_ids" (one per job) must
+        # stamp each job's record and its router admit event with its
+        # own id, exactly as a single serve process does.
+        import http.client
+
+        from repro.obs import OpLogger, read_oplog
+        from repro.serve.fleet import FleetApp, ShardSupervisor
+
+        oplog_path = str(tmp_path / "fleet.oplog.jsonl")
+        sup = ShardSupervisor(
+            shards=1,
+            fleet_dir=str(tmp_path / "fleet"),
+            cache_dir=str(tmp_path / "cache"),
+            oplog=OpLogger(path=oplog_path, component="fleet"),
+        )
+        sup.shards[0].state = "up"
+        app = FleetApp(sup)
+        body = json.dumps(
+            {"jobs": tiny_specs(2), "trace_ids": ["trace-one", "trace-two"]}
+        )
+
+        def post(port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                conn.request(
+                    "POST", "/jobs", body=body,
+                    headers={"X-Trace-Id": "request-id",
+                             "Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                return response.status, json.loads(response.read())
+            finally:
+                conn.close()
+
+        async def scenario():
+            server = await asyncio.start_server(
+                app.handle_connection, "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            try:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, post, port
+                )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        status, doc = asyncio.run(scenario())
+        sup.oplog.close()
+        sup.shards[0].journal.close()
+        assert status == 202
+        assert doc["trace_id"] == "request-id"
+        ids = [job["id"] for job in doc["jobs"]]
+        expected = ["trace-one", "trace-two"]
+        assert [job["trace_id"] for job in doc["jobs"]] == expected
+        assert [sup.get(job_id).trace_id for job_id in ids] == expected
+        admits = {
+            event["job_id"]: event["trace_id"]
+            for event in read_oplog(oplog_path)
+            if event["event"] == "admit"
+        }
+        assert [admits[job_id] for job_id in ids] == expected
 
 
 class TestFleetPrometheus:
@@ -856,7 +983,7 @@ class TestClientConnectRetry:
 
         def bring_up():
             time.sleep(0.4)
-            thread = ServerThread(port=port, batch_window=0.01)
+            thread = ServerThread(port=port)
             thread.start()
             server_box.append(thread)
 
@@ -975,7 +1102,7 @@ class TestAtomicFleetAdmission:
         rejected = [r for r in results if isinstance(r, QueueFullError)]
         admitted = [r for r in results if isinstance(r, list)]
         assert len(rejected) == 1 and len(admitted) == 1, results
-        assert sup._pending_count() == 3
+        assert len(sup.jobs.live) == 3
         assert sup.jobs_submitted == 3
         assert sup.jobs_rejected == 3
 
@@ -1006,8 +1133,12 @@ class TestFleetMonotonicDurations:
             def __getattr__(self, name):
                 return getattr(self._real, name)
 
+        import repro.serve.service as service_mod
+
         clock = SteppedTime()
+        # Admission stamps in the supervisor, finish stamps in JobTable.
         monkeypatch.setattr(fleet_mod, "time", clock)
+        monkeypatch.setattr(service_mod, "time", clock)
         oplog_path = tmp_path / "fleet.oplog.jsonl"
         sup = fleet_mod.ShardSupervisor(
             shards=1,
@@ -1020,7 +1151,7 @@ class TestFleetMonotonicDurations:
         clock.offset = 3600.0  # NTP steps +1h while the job is queued
         sup._finish(record, result={"final_cycle": 1})
         assert record.status == "done"
-        assert sup._pending_count() == 0
+        assert not sup.jobs.live
         retires = [
             json.loads(line)
             for line in oplog_path.read_text().splitlines()

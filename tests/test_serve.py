@@ -74,7 +74,6 @@ class TestJobSpec:
 class TestBatchingService:
     def _service(self, **kwargs):
         kwargs.setdefault("max_batch", 4)
-        kwargs.setdefault("batch_window", 0.01)
         kwargs.setdefault("queue_limit", 8)
         return BatchingService(SweepRunner(jobs=1, cache_dir=None), **kwargs)
 
@@ -90,10 +89,57 @@ class TestBatchingService:
 
         service, records = asyncio.run(scenario())
         assert service.batches == 1
-        assert service.jobs_completed == 3
+        assert service.jobs.completed == 3
         assert {r.status for r in records} == {"done"}
         assert all(r.result["final_cycle"] > 0 for r in records)
         assert all(r.digest for r in records)
+
+    def test_jobs_queued_during_a_batch_form_the_next_batches(self):
+        # No timed window: a batch is whatever is queued, up to
+        # max_batch.  Jobs submitted while a batch executes are drained
+        # as the next batch, capped at max_batch, in admission order.
+        import threading
+
+        class GatedRunner:
+            oplog = None
+
+            def __init__(self):
+                self.gate = threading.Event()
+                self.batches = []
+
+            def run(self, jobs, op_context=None):
+                self.batches.append([c["job_id"] for c in op_context])
+                self.gate.wait(30)
+                return [{"final_cycle": 1} for _ in jobs]
+
+            def telemetry(self):
+                return {}
+
+        runner = GatedRunner()
+
+        async def scenario():
+            service = BatchingService(runner, max_batch=3, queue_limit=8)
+            await service.start()
+            first = service.submit([tiny_spec()])
+            while not runner.batches:
+                await asyncio.sleep(0.005)
+            # The first batch is executing; these five queue behind it.
+            later = []
+            for seed in range(1, 6):
+                later += service.submit([tiny_spec(seed=seed)])
+            runner.gate.set()
+            await self._wait_done(first + later)
+            await service.drain()
+            return service, first, later
+
+        service, first, later = asyncio.run(scenario())
+        assert runner.batches == [
+            [first[0].id],
+            [r.id for r in later[:3]],
+            [r.id for r in later[3:]],
+        ]
+        assert service.batches == 3
+        assert service.jobs.completed == 6
 
     def test_queue_limit_rejects_with_retry_after(self):
         async def scenario():
@@ -124,7 +170,7 @@ class TestBatchingService:
         async def scenario():
             runner = SweepRunner(jobs=1, cache_dir=str(tmp_path / "sweeps"))
             service = BatchingService(
-                runner, max_batch=2, batch_window=0.01, queue_limit=8
+                runner, max_batch=2, queue_limit=8
             )
             await service.start()
             first = service.submit([tiny_spec()])
@@ -231,7 +277,7 @@ class TestHTTPServer:
         cache = tmp_path_factory.mktemp("serve-cache")
         runner = SweepRunner(jobs=1, cache_dir=str(cache))
         with ServerThread(
-            runner=runner, max_batch=4, batch_window=0.01, queue_limit=16
+            runner=runner, max_batch=4, queue_limit=16
         ) as thread:
             yield thread
 
@@ -303,7 +349,7 @@ class TestTraceContextOverHTTP:
         oplog = OpLogger(path=str(tmp_path / "op.jsonl"))
         runner = SweepRunner(jobs=1, cache_dir=str(tmp_path / "cache"))
         with ServerThread(
-            runner=runner, max_batch=4, batch_window=0.01,
+            runner=runner, max_batch=4,
             queue_limit=16, oplog=oplog,
         ) as thread:
             yield thread
@@ -423,7 +469,7 @@ class TestPrometheusOverHTTP:
         cache = tmp_path_factory.mktemp("prom-cache")
         runner = SweepRunner(jobs=1, cache_dir=str(cache))
         with ServerThread(
-            runner=runner, max_batch=4, batch_window=0.01, queue_limit=16
+            runner=runner, max_batch=4, queue_limit=16
         ) as thread:
             client = ServeClient(thread.base_url, timeout=30.0)
             client.submit_and_wait([TINY], timeout=120)
@@ -525,7 +571,7 @@ class TestBackpressureOverHTTP:
         # through any organic saturation until every job lands.
         runner = SweepRunner(jobs=1, cache_dir=None)
         with ServerThread(
-            runner=runner, max_batch=1, batch_window=0.0, queue_limit=2
+            runner=runner, max_batch=1, queue_limit=2
         ) as thread:
             client = ServeClient(thread.base_url, timeout=30.0)
             with pytest.raises(BackpressureError) as excinfo:
@@ -694,7 +740,7 @@ class TestMonotonicDurations:
         async def scenario():
             service = BatchingService(
                 SweepRunner(jobs=1, cache_dir=None),
-                max_batch=4, batch_window=0.01, queue_limit=8,
+                max_batch=4, queue_limit=8,
                 oplog=OpLogger(path=str(oplog_path), component="serve"),
             )
             records = service.submit([tiny_spec()])
@@ -728,7 +774,7 @@ class TestAtomicAdmission:
         async def scenario():
             service = BatchingService(
                 SweepRunner(jobs=1, cache_dir=None),
-                max_batch=4, batch_window=0.01, queue_limit=8,
+                max_batch=4, queue_limit=8,
             )
 
             async def burst(seed0):
