@@ -5,7 +5,8 @@ operational log and service-trace export enabled), has two concurrent
 clients submit the same batch (round 1), repeats the batch (round 2,
 which must be >= 90% cache hits), sends one probe request with an
 explicit ``X-Trace-Id`` and follows that id end to end (response
-header, result envelope, oplog, exported Perfetto trace), saves a
+header, result envelope, oplog, exported Perfetto trace), runs
+``python -m repro.cli submit`` against the live server, saves a
 ``/metrics`` snapshot plus its Prometheus exposition, then sends
 SIGTERM and requires a clean graceful drain (exit code 0, final
 metrics snapshot written).
@@ -13,7 +14,8 @@ metrics snapshot written).
 The assertions live in the shipped gate specs
 (``repro/qa/specs/serve.json`` and ``repro/qa/specs/slo.json``): this
 script only *measures* — request failures, cross-client mismatches,
-the warm-round hit rate, the drain exit code, trace propagation — and
+the warm-round hit rate, the ``cohort submit`` and drain exit codes,
+trace propagation — and
 computes the SLO inputs from the oplog.  Manifests
 (``serve_smoke.manifest.json``, ``serve_smoke.slo.manifest.json``) and
 verdict reports (``*.verdict.json``) land in the artifact directory for
@@ -133,16 +135,24 @@ def probe_trace(client):
     result envelope carried the same id.  The oplog/trace-file halves
     of the check run after drain, once those artefacts are flushed.
     """
-    status, headers, doc = client._request(
-        "POST", "/jobs", {"jobs": [SPECS[0]]},
-        extra_headers={"X-Trace-Id": PROBE_TRACE_ID},
-    )
-    if status != 202 or not isinstance(doc, dict):
-        fail(f"probe submission returned {status}")
-    lower = {key.lower(): value for key, value in headers.items()}
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", PORT, timeout=30)
+    try:
+        conn.request(
+            "POST", "/jobs", body=json.dumps({"jobs": [SPECS[0]]}),
+            headers={"X-Trace-Id": PROBE_TRACE_ID,
+                     "Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        echoed = response.getheader("X-Trace-Id")
+        doc = json.loads(response.read() or b"null")
+    finally:
+        conn.close()
+    if response.status != 202 or not isinstance(doc, dict):
+        fail(f"probe submission returned {response.status}")
     header_ok = (
-        lower.get("x-trace-id") == PROBE_TRACE_ID
-        and doc.get("trace_id") == PROBE_TRACE_ID
+        echoed == PROBE_TRACE_ID and doc.get("trace_id") == PROBE_TRACE_ID
     )
     finished = client.wait([job["id"] for job in doc["jobs"]], timeout=120)
     envelope_ok = all(
@@ -150,6 +160,26 @@ def probe_trace(client):
         for record in finished.values()
     )
     return header_ok, envelope_ok
+
+
+def cli_submit(env):
+    """``cohort submit`` one job against the live server; its exit code."""
+    spec = SPECS[0]
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "submit",
+            "--url", f"http://127.0.0.1:{PORT}",
+            "-b", spec["benchmark"],
+            "-t", *(str(theta) for theta in spec["thetas"]),
+            "--scale", str(spec["scale"]), "--seed", str(spec["seed"]),
+            "--timeout", "120",
+        ],
+        env=env, capture_output=True, text=True,
+    )
+    print(f"serve_smoke: cohort submit exited {proc.returncode}")
+    if proc.returncode:
+        print(proc.stdout + proc.stderr, file=sys.stderr)
+    return proc.returncode
 
 
 def scrape_prometheus(client, out_path):
@@ -217,6 +247,7 @@ def main():
               f"(misses {delta_misses})")
 
         header_ok, envelope_ok = probe_trace(client)
+        submit_code = cli_submit(env)
         after = client.metrics()
 
         metrics_snapshot = os.path.join(ART_DIR, "metrics.json")
@@ -272,6 +303,7 @@ def main():
             "client_mismatches": round1_mismatches + round2_mismatches,
             "round2_hit_rate": hit_rate,
             "round2_cache_misses": delta_misses,
+            "cli_submit_exit_code": submit_code,
             "drain_exit_code": code,
             "final_snapshot_written": snapshot_written,
             "trace_propagation_ok": trace_propagation_ok,

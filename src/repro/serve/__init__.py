@@ -22,8 +22,10 @@ Public surface:
 * :class:`ServeApp` / :func:`run_server` — the asyncio HTTP front-end
   (routes and lifecycle shared with the fleet router),
 * :class:`ServerThread` — in-process server for tests/benchmarks,
-* :class:`ServeClient` — synchronous stdlib client (``cohort submit``),
-  with bounded retries for both backpressure and transient connections,
+* :class:`ServeClient` — synchronous client (``cohort submit``) over
+  :func:`repro.serve.client.http_json`, the one HTTP client the router
+  and the load generator also use, with bounded retries for both
+  backpressure and transient connections,
 * :class:`ShardSupervisor` / :class:`FleetApp` / :func:`run_fleet` —
   the supervised shard fleet (``cohort fleet``),
 * :class:`FleetThread` — in-process fleet for tests and the chaos soak,

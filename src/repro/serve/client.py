@@ -1,24 +1,25 @@
 """Stdlib clients for ``cohort serve`` and ``cohort fleet``.
 
-:class:`ServeClient` is synchronous, with no dependencies: submit jobs,
-honour backpressure (``429`` + ``Retry-After``) with bounded jittered
-backoff, propagate trace context (``X-Trace-Id``), poll until
-completion, read health and metrics.  Used by ``cohort submit``, the
-serve benchmarks and the CI smoke script — and small enough to copy
-into an external driver.
+:func:`http_json` is one JSON-over-HTTP request on an event loop, and
+the only HTTP client here: the fleet router's shard traffic, the load
+generator and :class:`ServeClient` all go through it.  Every way a peer
+can be unreachable surfaces as :class:`ShardUnreachableError`; a
+timeout as its subclass :class:`ShardTimeoutError`, which is also a
+``TimeoutError``.
 
-:func:`http_json` is one JSON-over-HTTP request on an event loop, for
-the fleet router's shard traffic and the load generator; every way a
-peer can be unreachable surfaces as :class:`ShardUnreachableError`.
+:class:`ServeClient` is its synchronous wrapper, one ``asyncio.run``
+per request: submit jobs, honour backpressure (``429`` and its
+``retry_after``) with bounded jittered backoff, propagate trace
+context (``X-Trace-Id``), poll until completion, read health and
+metrics.  Used by ``cohort submit``, the serve benchmarks and the CI
+smoke script.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import random
-import socket
 import time
 import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -29,15 +30,8 @@ from repro.serve.service import JobSpec, ServeError
 SpecLike = Union[JobSpec, Dict[str, Any]]
 
 #: Hard ceiling on one backpressure backoff sleep, however large the
-#: server's ``Retry-After`` hint or the exponential growth gets.
+#: server's ``retry_after`` hint or the exponential growth gets.
 MAX_BACKOFF_SECONDS = 30.0
-
-#: Exceptions that mean "the endpoint is briefly unreachable" — the
-#: shape of a shard mid-restart (connection refused) or killed while
-#: answering (reset / torn response).  ``http.client.RemoteDisconnected``
-#: subclasses ``ConnectionResetError``; plain ``OSError`` covers
-#: ``ECONNREFUSED`` raised from ``socket.create_connection``.
-TRANSIENT_ERRORS = (ConnectionError, OSError, http.client.BadStatusLine)
 
 
 class ServeClientError(ServeError):
@@ -63,7 +57,7 @@ def _spec_doc(spec: SpecLike) -> Dict[str, Any]:
 
 
 class ServeClient:
-    """Talks to one ``cohort serve`` endpoint.
+    """Talks to one ``cohort serve`` (or fleet) endpoint via :func:`http_json`.
 
     ``oplog`` optionally records the client's side of every submission
     (``client_submit``/``client_backoff``/``client_accepted`` events,
@@ -105,27 +99,29 @@ class ServeClient:
         path: str,
         doc: Optional[Any] = None,
         extra_headers: Optional[Dict[str, str]] = None,
-    ) -> tuple:
-        """One HTTP round-trip, with transient-connection retries.
+    ) -> Tuple[int, Any]:
+        """One :func:`http_json` round-trip, with reconnect retries.
 
         Job submissions are idempotent at the service layer (results
         are keyed by content digest), so re-sending a POST whose
         connection died is safe; a refused connection never reached the
-        server at all.  ``socket.timeout`` is deliberately *not*
-        retried — a slow server is not a restarting one, and retrying
-        would double the wait.
+        server at all.  A timeout is deliberately *not* retried — a
+        slow server is not a restarting one, and retrying would double
+        the wait — and raises as a ``TimeoutError``.
         """
         attempt = 0
         while True:
             try:
-                return self._request_once(method, path, doc, extra_headers)
-            except socket.timeout:
+                return asyncio.run(http_json(
+                    self.host, self.port, method, path, doc,
+                    timeout=self.timeout, headers=extra_headers,
+                ))
+            except ShardTimeoutError:
                 raise
-            except TRANSIENT_ERRORS as exc:
+            except ShardUnreachableError as exc:
                 if attempt >= self.connect_retries:
                     raise ServeClientError(
-                        f"{method} {path} failed after {attempt + 1} "
-                        f"attempt(s): {type(exc).__name__}: {exc}"
+                        f"failed after {attempt + 1} attempt(s): {exc}"
                     ) from exc
                 attempt += 1
                 delay = self._backoff_delay(
@@ -133,50 +129,24 @@ class ServeClient:
                 )
                 self.oplog.emit(
                     "client_reconnect", method=method, path=path,
-                    attempt=attempt, error=type(exc).__name__,
+                    attempt=attempt,
+                    error=type(exc.__cause__ or exc).__name__,
                     sleep_s=round(delay, 4),
                 )
                 time.sleep(delay)
-
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        doc: Optional[Any] = None,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> tuple:
-        body = None
-        headers: Dict[str, str] = dict(extra_headers or {})
-        if doc is not None:
-            body = json.dumps(doc)
-            headers["Content-Type"] = "application/json"
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            payload = response.read()
-        finally:
-            conn.close()
-        try:
-            parsed = json.loads(payload) if payload else None
-        except ValueError:
-            parsed = None
-        return response.status, dict(response.getheaders()), parsed
 
     # -- endpoints -----------------------------------------------------------
 
     def healthz(self) -> Dict[str, Any]:
         """Return the server's health document (``GET /healthz``)."""
-        status, _, doc = self._request("GET", "/healthz")
+        status, doc = self._request("GET", "/healthz")
         if status != 200 or not isinstance(doc, dict):
             raise ServeClientError(f"healthz returned {status}", status)
         return doc
 
     def metrics(self) -> Dict[str, Any]:
         """Return the server's metrics document (``GET /metrics``)."""
-        status, _, doc = self._request("GET", "/metrics")
+        status, doc = self._request("GET", "/metrics")
         if status != 200 or not isinstance(doc, dict):
             raise ServeClientError(f"metrics returned {status}", status)
         return doc
@@ -194,7 +164,7 @@ class ServeClient:
 
         A ``429`` is retried up to ``max_retries`` times (a hard
         attempts cap, never unbounded).  Each retry sleeps the
-        server-provided ``Retry-After`` hint (or ``backoff``) scaled
+        server's ``retry_after`` hint (or ``backoff``) scaled
         exponentially by the attempt number, ±25% uniform jitter so a
         thundering herd of rejected clients decorrelates, and clamped
         to ``max_backoff``.  When retries run out a
@@ -212,7 +182,7 @@ class ServeClient:
                 "client_submit", trace_id=trace, jobs=len(specs),
                 attempt=attempt + 1,
             )
-            status, headers, doc = self._request(
+            status, doc = self._request(
                 "POST", "/jobs", payload,
                 extra_headers={"X-Trace-Id": trace},
             )
@@ -223,7 +193,7 @@ class ServeClient:
                 )
                 return list(doc.get("jobs", []))
             if status == 429:
-                retry_after = self._retry_after(headers, doc, backoff)
+                retry_after = self._retry_after(doc, backoff)
                 if attempt >= max_retries:
                     self.oplog.emit(
                         "client_backpressure_giveup", trace_id=trace,
@@ -261,24 +231,16 @@ class ServeClient:
         return max(0.001, min(jittered, max_backoff))
 
     @staticmethod
-    def _retry_after(
-        headers: Dict[str, str], doc: Any, fallback: Optional[float]
-    ) -> float:
-        for key, value in headers.items():
-            if key.lower() == "retry-after":
-                try:
-                    return float(value)
-                except ValueError:
-                    break
-        if isinstance(doc, dict) and isinstance(
-            doc.get("retry_after"), (int, float)
-        ):
-            return float(doc["retry_after"])
+    def _retry_after(doc: Any, fallback: Optional[float]) -> float:
+        """The refusal body's ``retry_after``, else ``fallback`` or 0.5s."""
+        hint = doc.get("retry_after") if isinstance(doc, dict) else None
+        if isinstance(hint, (int, float)):
+            return float(hint)
         return fallback if fallback is not None else 0.5
 
     def job(self, job_id: str) -> Dict[str, Any]:
         """Fetch one job record (``GET /jobs/<id>``); 404 raises."""
-        status, _, doc = self._request("GET", f"/jobs/{job_id}")
+        status, doc = self._request("GET", f"/jobs/{job_id}")
         if status != 200 or not isinstance(doc, dict):
             raise ServeClientError(f"job {job_id} returned {status}", status)
         return doc
@@ -288,19 +250,15 @@ class ServeClient:
         job_ids: Sequence[str],
         *,
         include_result: bool = True,
-    ) -> Optional[Dict[str, Dict[str, Any]]]:
+    ) -> Dict[str, Dict[str, Any]]:
         """Batched status poll (``POST /jobs/poll``); id → record.
 
-        Returns ``None`` when the server predates the batch endpoint
-        (404/405), so callers can fall back to per-job ``GET``s.  An
-        unknown id raises, exactly like :meth:`job` would.
+        An unknown id raises, exactly like :meth:`job` would.
         """
-        status, _, doc = self._request(
+        status, doc = self._request(
             "POST", "/jobs/poll",
             {"ids": list(job_ids), "include_result": include_result},
         )
-        if status in (404, 405):
-            return None
         if status != 200 or not isinstance(doc, dict):
             raise ServeClientError(f"jobs/poll returned {status}", status)
         unknown = doc.get("unknown") or []
@@ -321,39 +279,24 @@ class ServeClient:
         """Poll until every job is done or failed; id → final record.
 
         Jobs are polled in batches of ``poll_batch`` over
-        ``POST /jobs/poll`` (falling back to per-job ``GET``s against
-        older servers), and the ``timeout`` deadline is enforced before
-        *every* HTTP round-trip — never only between full passes, so
-        thousands of in-flight jobs cannot stretch one pass past the
-        deadline unnoticed.
+        ``POST /jobs/poll``, and the ``timeout`` deadline is enforced
+        before *every* HTTP round-trip — never only between full
+        passes, so thousands of in-flight jobs cannot stretch one pass
+        past the deadline unnoticed.
         """
         if poll_batch < 1:
             raise ValueError("poll_batch must be >= 1")
         deadline = time.monotonic() + timeout
         finished: Dict[str, Dict[str, Any]] = {}
         pending = list(job_ids)
-        batch_supported = True
         while pending:
             still_pending: List[str] = []
             for start in range(0, len(pending), poll_batch):
-                chunk = pending[start:start + poll_batch]
                 # Deadline first: the remainder of this pass is still
                 # pending by definition, so report all of it.
-                remaining = chunk + pending[start + poll_batch:]
-                self._check_wait_deadline(deadline, timeout, remaining)
-                records: Optional[Dict[str, Dict[str, Any]]] = None
-                if batch_supported:
-                    records = self.poll_jobs(chunk)
-                    if records is None:
-                        batch_supported = False
-                if records is None:
-                    records = {}
-                    for i, job_id in enumerate(chunk):
-                        self._check_wait_deadline(
-                            deadline, timeout,
-                            chunk[i:] + pending[start + poll_batch:],
-                        )
-                        records[job_id] = self.job(job_id)
+                self._check_wait_deadline(deadline, timeout, pending[start:])
+                chunk = pending[start:start + poll_batch]
+                records = self.poll_jobs(chunk)
                 for job_id in chunk:
                     record = records[job_id]
                     if record["status"] in ("done", "failed"):
@@ -398,6 +341,10 @@ class ShardUnreachableError(ConnectionError):
     """A shard did not answer an HTTP request (down, hung, or refusing)."""
 
 
+class ShardTimeoutError(ShardUnreachableError, TimeoutError):
+    """A shard did not answer an HTTP request within its timeout."""
+
+
 async def http_json(
     host: str,
     port: int,
@@ -412,7 +359,8 @@ async def http_json(
     Anything that smells like an unreachable peer — refused/reset
     connections, timeouts, a torn response — raises
     :class:`ShardUnreachableError` so callers have a single failure
-    signal to feed the circuit breaker.
+    signal to feed the circuit breaker; a timeout raises its subclass
+    :class:`ShardTimeoutError`.
     """
 
     async def _talk() -> Tuple[int, Any]:
@@ -467,12 +415,11 @@ async def http_json(
         return await asyncio.wait_for(_talk(), timeout)
     except ShardUnreachableError:
         raise
-    except (
-        OSError,
-        asyncio.TimeoutError,
-        asyncio.IncompleteReadError,
-        ValueError,
-    ) as exc:
+    except asyncio.TimeoutError as exc:
+        raise ShardTimeoutError(
+            f"{method} {path} on {host}:{port}: no answer in {timeout}s"
+        ) from exc
+    except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
         raise ShardUnreachableError(
             f"{method} {path} on {host}:{port}: {type(exc).__name__}: {exc}"
         ) from exc

@@ -11,14 +11,17 @@ hardened on-disk result cache — and puts a supervising router in front:
   submissions of the same spec land on the same shard and its warm
   in-process memo, while the shared cache directory backstops every
   shard with cross-shard warm replication.
-* **Dispatch** — a pipeline per shard.  The *dispatcher* forwards up
-  to ``max_batch`` queued jobs as one ``POST /jobs`` and takes the
-  next chunk without waiting for the last, keeping at most
-  ``shard_queue_limit`` jobs in flight per shard (so the router never
-  causes its own 429s).  The *collector* chases every in-flight job
-  with one batched ``POST /jobs/poll`` per pass, pausing
-  :data:`COLLECT_INTERVAL` seconds between passes.  A shard batches
-  whatever the router has forwarded to it, up to ``max_batch``.
+* **Dispatch** — a pipeline per shard over the one job table: a
+  shard's queue and in-flight set are the live records it owns in
+  status ``queued`` and ``dispatched``, in admission order.  The
+  *dispatcher* forwards up to ``max_batch`` queued jobs as one
+  ``POST /jobs`` and takes the next chunk without waiting for the
+  last, keeping at most ``shard_queue_limit`` jobs in flight per shard
+  (so the router never causes its own 429s).  The *collector* chases
+  every in-flight job with one batched ``POST /jobs/poll`` per pass,
+  pausing :data:`COLLECT_INTERVAL` seconds between passes.  A shard
+  batches whatever the router has forwarded to it, up to
+  ``max_batch``.
 * **Durability** — every accepted job is appended to a per-shard
   write-ahead intake journal (schema-versioned JSONL,
   :data:`repro.obs.schema.INTAKE_JOURNAL_SCHEMA`) and ``fsync``'d
@@ -382,9 +385,11 @@ class FleetJob(JobRecord):
     """Lifecycle of one fleet-accepted job.
 
     ``queued`` (journaled, awaiting dispatch) → ``dispatched`` (accepted
-    by a shard, remote id known) → ``done``/``failed``.  A shard death
-    resets ``dispatched`` jobs back to ``queued`` (the journal entry is
-    still live) and may reassign ``shard``.
+    by a shard, remote id known, ``started_at`` stamped) →
+    ``done``/``failed``.  ``shard`` and ``status`` are the job's only
+    routing state: the dispatcher and collector select on them.  A
+    shard death resets its ``dispatched`` jobs back to ``queued`` (the
+    journal entry is still live) and may reassign ``shard``.
     """
 
     shard: int = 0
@@ -527,14 +532,6 @@ class ShardSupervisor:
             self.shards.append(shard)
         self.ring = HashRing([s.index for s in self.shards])
         self.jobs = JobTable()
-        self._queues: Dict[int, List[FleetJob]] = {
-            s.index: [] for s in self.shards
-        }
-        #: Dispatched-but-unfinished jobs per shard, by remote id: what
-        #: the collector chases, bounded by ``shard_queue_limit``.
-        self._inflight: Dict[int, Dict[str, FleetJob]] = {
-            s.index: {} for s in self.shards
-        }
         self._wakeups: Dict[int, asyncio.Event] = {}
         self._tasks: List[asyncio.Task] = []
         self._draining = False
@@ -588,6 +585,7 @@ class ShardSupervisor:
         A previous supervisor crash (or hard kill) leaves live entries
         behind; every one of them was 202-acknowledged, so each becomes
         a queued :class:`FleetJob` again — same id, same trace context.
+        An entry whose spec no longer parses is logged and retired.
         """
         for shard in self.shards:
             assert shard.journal is not None
@@ -597,8 +595,11 @@ class ShardSupervisor:
                 except JobSpecError as exc:
                     self.oplog.emit(
                         "journal_skip", shard=shard.index,
-                        job_id=doc.get("id"), reason=str(exc),
+                        job_id=doc["id"], reason=str(exc),
                     )
+                    # No job will ever finish it: retire it now, or the
+                    # journal would never truncate again.
+                    shard.journal.retire(doc["id"])
                     continue
                 record = FleetJob(
                     id=doc["id"],
@@ -609,7 +610,6 @@ class ShardSupervisor:
                     submitted_mono=time.monotonic(),
                 )
                 self.jobs.add(record)
-                self._queues[shard.index].append(record)
                 self.replayed_jobs += 1
                 self.oplog.emit(
                     "journal_replay", shard=shard.index, job_id=record.id,
@@ -774,8 +774,6 @@ class ShardSupervisor:
         shard.down_since = time.monotonic()
         shard.downs += 1
         shard.breaker.trip()
-        # Every in-flight job is requeued below; the collector stops.
-        self._inflight[shard.index].clear()
         self.oplog.emit(
             "shard_down", shard=shard.index, reason=reason, pid=shard.pid,
             restarts=shard.restarts,
@@ -787,39 +785,26 @@ class ShardSupervisor:
                 shard.proc.kill()
             except OSError:
                 pass
-        # Replay the shard's accepted-but-unfinished jobs.  The journal
-        # is the source of truth for what was 202-acknowledged, but a
-        # job that failed over *to* this shard keeps its admit record
-        # in the admitting shard's journal — so the sweep is the union
-        # of this journal's live entries and every in-memory job this
-        # shard currently owns.  Only live (unfinished) jobs matter, so
-        # the scan is bounded by ``admission_limit``, not by uptime.
-        assert shard.journal is not None
-        live_ids = [doc["id"] for doc in shard.journal.live_jobs()]
-        seen = set(live_ids)
-        live_ids += [
-            job_id
-            for job_id, job in self.jobs.live.items()
-            if job_id not in seen and job.shard == shard.index
-        ]
+        # Replay every accepted-but-unfinished job this shard owns:
+        # queued, or dispatched to the dead process (which stops its
+        # collector).  A job that failed over here from another shard is
+        # owned here too, though its admit record sits in the admitting
+        # shard's journal; a job admitted here that failed over
+        # elsewhere is not touched.  The scan is bounded by
+        # ``admission_limit``, not by uptime.
         alive = {
             s.index
             for s in self.shards
             if s.index != shard.index and s.state == "up"
         }
-        requeued = 0
-        for job_id in live_ids:
-            record = self.jobs.live.get(job_id)
-            if record is None:  # finished already
-                continue
-            if record.shard != shard.index:
-                # Admitted here but failed over to another shard, whose
-                # queue and dispatch loop own it now — resetting it
-                # would re-execute a job healthily in flight elsewhere.
-                continue
+        owned = [
+            record
+            for record in self.jobs.live.values()
+            if record.shard == shard.index
+        ]
+        for record in owned:
             record.status = "queued"
             record.remote_id = None
-            requeued += 1
             # With no live shard the job waits, journaled, for this one.
             target = (
                 self.ring.assign(record.spec.spec_key(), alive)
@@ -833,15 +818,13 @@ class ShardSupervisor:
                     from_shard=record.shard, to_shard=target,
                 )
                 record.shard = target
-            if record not in self._queues[target]:
-                self._queues[target].append(record)
             self.replayed_jobs += 1
             self.oplog.emit(
                 "journal_replay", shard=shard.index, job_id=record.id,
                 trace_id=record.trace_id, phase="shard_down",
                 to_shard=record.shard,
             )
-        if requeued:
+        if owned:
             self._wake_all()
 
     async def _restart_shard(self, shard: ShardState) -> None:
@@ -1015,7 +998,6 @@ class ShardSupervisor:
                     shard_id,
                 )
                 self.jobs.add(record)
-                self._queues[shard_id].append(record)
                 shard.routed += 1
                 records.append(record)
                 # Convert one reservation into a registered pending job.
@@ -1061,42 +1043,31 @@ class ShardSupervisor:
                 await wakeup.wait()
                 continue
             if shard.state != "up" or not shard.breaker.allows():
-                # Not routable right now: put the chunk back and let
+                # Not routable right now: the chunk stays queued while
                 # the health loop / failover move things along.
-                self._requeue(shard.index, chunk)
                 await asyncio.sleep(0.1)
                 continue
             await self._forward(shard, chunk)
 
+    def _owned(self, shard_id: int, status: str) -> List[FleetJob]:
+        """The live jobs ``shard_id`` owns in ``status``, oldest first."""
+        return [
+            record
+            for record in self.jobs.live.values()
+            if record.shard == shard_id and record.status == status
+        ]
+
     def _take_chunk(self, shard_id: int) -> List[FleetJob]:
-        """Pop the next chunk of queued jobs, in order.
+        """The next chunk of the shard's queued jobs, oldest first.
 
         At most ``max_batch`` jobs, and no more than the shard's room
-        under ``shard_queue_limit`` in-flight jobs.
+        under ``shard_queue_limit`` dispatched jobs.
         """
-        limit = min(
+        room = min(
             self.max_batch,
-            self.shard_queue_limit - len(self._inflight[shard_id]),
+            self.shard_queue_limit - len(self._owned(shard_id, "dispatched")),
         )
-        if limit <= 0:
-            return []
-        queue = self._queues[shard_id]
-        chunk: List[FleetJob] = []
-        remaining: List[FleetJob] = []
-        for record in queue:
-            if record.status == "queued" and record.shard == shard_id:
-                if len(chunk) < limit:
-                    chunk.append(record)
-                else:
-                    remaining.append(record)
-            # Anything else is stale: finished, or moved by failover to
-            # a queue that already holds it.
-        self._queues[shard_id] = remaining
-        return chunk
-
-    def _requeue(self, shard_id: int, chunk: List[FleetJob]) -> None:
-        front = [r for r in chunk if r.status == "queued"]
-        self._queues[shard_id] = front + self._queues[shard_id]
+        return self._owned(shard_id, "queued")[:max(room, 0)]
 
     async def _forward(
         self, shard: ShardState, chunk: List[FleetJob]
@@ -1104,9 +1075,9 @@ class ShardSupervisor:
         """Forward one chunk to its shard as a single ``POST /jobs``.
 
         Each job keeps its own trace context through ``trace_ids``.  On
-        a 202 the chunk is marked dispatched and handed to the shard's
-        collector; a 429/503 or an unreachable shard puts the whole
-        chunk back at the head of the queue, in order.
+        a 202 the chunk is marked dispatched, stamped started and
+        handed to the shard's collector; after a 429/503 or an
+        unreachable shard the whole chunk is still queued, in order.
         """
         downs = shard.downs
         try:
@@ -1128,12 +1099,13 @@ class ShardSupervisor:
         if status == 202 and isinstance(remote, list) and (
             len(remote) == len(chunk)
         ):
-            inflight = self._inflight[shard.index]
+            started_at, started_mono = time.time(), time.monotonic()
             for record, job in zip(chunk, remote):
                 record.remote_id = job["id"]
                 record.status = "dispatched"
+                record.started_at = started_at
+                record.started_mono = started_mono
                 record.attempts += 1
-                inflight[record.remote_id] = record
                 self.oplog.emit(
                     "dispatch", job_id=record.id, trace_id=record.trace_id,
                     shard=shard.index, remote_id=record.remote_id,
@@ -1143,7 +1115,6 @@ class ShardSupervisor:
                     self._collect(shard)
                 )
         elif status in (0, 429, 503):
-            self._requeue(shard.index, chunk)
             if status:
                 await asyncio.sleep(self.retry_after)
             else:
@@ -1158,15 +1129,21 @@ class ShardSupervisor:
                 )
 
     async def _collect(self, shard: ShardState) -> None:
-        """The shard's collector: chase every in-flight job at once.
+        """The shard's collector: chase every dispatched job at once.
 
         One batched ``POST /jobs/poll`` per pass, with a
         :data:`COLLECT_INTERVAL` pause between passes.  Runs while the
-        shard has jobs in flight and is ``up``; once the health loop
+        shard owns dispatched jobs and is ``up``; once the health loop
         declares it down, journal replay owns those jobs.
         """
-        inflight = self._inflight[shard.index]
-        while inflight and shard.state == "up":
+        while shard.state == "up":
+            inflight = {
+                record.remote_id: record
+                for record in self._owned(shard.index, "dispatched")
+            }
+            if not inflight:
+                return
+            downs = shard.downs
             try:
                 status, doc = await http_json(
                     self.host, shard.port, "POST", "/jobs/poll",
@@ -1175,6 +1152,9 @@ class ShardSupervisor:
                 )
             except ShardUnreachableError:
                 status, doc = 0, None
+            if shard.downs != downs:
+                # Declared down mid-poll: replay owns these jobs now.
+                continue
             if status != 200 or not isinstance(doc, dict):
                 # Transient while the shard is still marked up: keep
                 # chasing — if it really died, the health loop flips its
@@ -1198,19 +1178,17 @@ class ShardSupervisor:
                     )
                 else:
                     continue
-                del inflight[remote_id]
                 landed = True
             for remote_id in doc.get("unknown") or []:
                 # Unknown id after a silent shard restart: requeue.
-                record = inflight.pop(remote_id, None)
+                record = inflight.get(remote_id)
                 if record is not None:
                     record.status = "queued"
                     record.remote_id = None
-                    self._queues[shard.index].append(record)
                     landed = True
             if landed:
                 self._wakeups[shard.index].set()
-            if inflight:
+            if self._owned(shard.index, "dispatched"):
                 await asyncio.sleep(COLLECT_INTERVAL)
 
     def _finish(
@@ -1259,7 +1237,7 @@ class ShardSupervisor:
                     "breaker": shard.breaker.state,
                     "routed": shard.routed,
                     "completed": shard.completed,
-                    "queue_depth": len(self._queues[shard.index]),
+                    "queue_depth": len(self._owned(shard.index, "queued")),
                     # Explicit None test: a monotonic reading of 0.0 is
                     # a legitimate "healthy right now" timestamp.
                     "last_healthy_age_s": (

@@ -252,7 +252,7 @@ class LoadGenerator:
         self.drain_timeout = drain_timeout
         self.trace_id = trace_id
         # job_id -> arrival time (monotonic) for e2e accounting.
-        self._inflight: Dict[str, float] = {}
+        self._outstanding: Dict[str, float] = {}
         self._report = LoadgenReport(rate=rate)
 
     # -- public entry points -------------------------------------------------
@@ -294,7 +294,7 @@ class LoadGenerator:
             )
             report.completed_in_window = report.completed
             drain_deadline = time.monotonic() + self.drain_timeout
-            while self._inflight and time.monotonic() < drain_deadline:
+            while self._outstanding and time.monotonic() < drain_deadline:
                 await asyncio.sleep(self.poll_interval)
         finally:
             for task in worker_tasks:
@@ -303,7 +303,7 @@ class LoadGenerator:
             await asyncio.gather(
                 *worker_tasks, poller_task, return_exceptions=True
             )
-        report.pending_at_end = len(self._inflight)
+        report.pending_at_end = len(self._outstanding)
         report.duration_s = time.monotonic() - t0
         return report
 
@@ -337,7 +337,7 @@ class LoadGenerator:
                 if status == 202 and isinstance(doc, dict):
                     jobs = doc.get("jobs") or []
                     for job in jobs:
-                        self._inflight[job["id"]] = scheduled_mono
+                        self._outstanding[job["id"]] = scheduled_mono
                     report.accepted += len(jobs)
                 elif status == 429:
                     # Backpressure: count it and move straight on to
@@ -353,7 +353,7 @@ class LoadGenerator:
         report = self._report
         while True:
             await asyncio.sleep(self.poll_interval)
-            pending = list(self._inflight)
+            pending = list(self._outstanding)
             for start in range(0, len(pending), self.poll_batch):
                 chunk = pending[start:start + self.poll_batch]
                 try:
@@ -371,7 +371,7 @@ class LoadGenerator:
                     state = record.get("status")
                     if state not in ("done", "failed"):
                         continue
-                    arrived = self._inflight.pop(job_id, None)
+                    arrived = self._outstanding.pop(job_id, None)
                     if arrived is None:
                         continue
                     if state == "done":
@@ -385,5 +385,5 @@ class LoadGenerator:
                     # An accepted (202'd) id the server no longer
                     # knows: that is a lost job, the capacity gate's
                     # hardest failure.
-                    if self._inflight.pop(job_id, None) is not None:
+                    if self._outstanding.pop(job_id, None) is not None:
                         report.lost += 1

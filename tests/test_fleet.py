@@ -179,23 +179,24 @@ class TestSupervisorFailover:
 
     def test_failed_over_job_survives_second_shard_death(self, tmp_path):
         # Admit on A, fail over to B, then kill B: the admit record
-        # lives in A's journal, so replay must also sweep in-memory
-        # jobs owned by B — the 202 must never be lost.
+        # lives in A's journal, but replay sweeps the live jobs B owns,
+        # so the 202 must never be lost.
         sup = self._supervisor(tmp_path)
         record = self._admit_one(sup)
         a = record.shard
         b = 1 - a
         sup._on_shard_down(sup.shards[a], "test kill A")
         assert record.shard == b and record.status == "queued"
+        assert sup._take_chunk(b) == [record]
         sup.shards[a].state = "up"  # A restarted
-        # B dispatched the job (its dispatch loop took it off the queue).
-        sup._queues[b].remove(record)
+        # B dispatched the job.
         record.status = "dispatched"
         record.remote_id = "remote-1"
         sup._on_shard_down(sup.shards[b], "test kill B")
         assert record.status == "queued"
         assert record.shard == a
-        assert record in sup._queues[a]
+        assert sup._take_chunk(a) == [record]
+        assert sup._take_chunk(b) == []
         assert record.failovers == 2
 
     def test_replay_skips_jobs_already_failed_over_elsewhere(self, tmp_path):
@@ -207,19 +208,21 @@ class TestSupervisorFailover:
         b = 1 - a
         sup._on_shard_down(sup.shards[a], "test kill A")
         sup.shards[a].state = "up"  # A restarted
-        sup._queues[b].remove(record)
         record.status = "dispatched"
         record.remote_id = "remote-1"
         failovers = record.failovers
         sup._on_shard_down(sup.shards[a], "test kill A again")
         assert record.status == "dispatched"
+        assert record.remote_id == "remote-1"
         assert record.shard == b
         assert record.failovers == failovers
-        # A's queue may still hold a stale entry from the original
-        # admit (dropped lazily by _take_chunk) — what matters is that
-        # neither dispatch loop would pick the job up again.
+        # Neither dispatch loop would pick the job up again; B's
+        # collector still chases it.
         assert sup._take_chunk(a) == []
-        assert record not in sup._queues[b]
+        assert sup._take_chunk(b) == []
+        assert sup._owned(b, "dispatched") == [record]
+        # /metrics counts exactly the queued jobs: none, on either shard.
+        assert [s["queue_depth"] for s in sup.metrics()["shards"]] == [0, 0]
 
     def test_failover_touches_only_live_jobs(self, tmp_path):
         # Failover cost is bounded by the live set, not by uptime: the
@@ -240,7 +243,6 @@ class TestSupervisorFailover:
             if record.id not in keep:
                 sup._finish(record, result={"final_cycle": 1})
         for record in owned:
-            sup._queues[victim].remove(record)
             record.status = "dispatched"
             record.remote_id = f"remote-{record.id}"
 
@@ -283,22 +285,20 @@ class TestSupervisorFailover:
         return chunk
 
     def test_unreachable_shard_requeues_whole_chunk(self, tmp_path):
-        # _take_chunk already removed the chunk from the queue; a failed
-        # batched POST must put the whole chunk back at the head of the
-        # queue, in order, ahead of jobs queued behind it.
+        # A failed batched POST must leave the whole chunk queued, in
+        # order, ahead of the job queued behind it.
         from repro.serve.fleet import free_port
 
-        sup = self._supervisor(tmp_path, shards=1)
+        sup = self._supervisor(tmp_path, shards=1, max_batch=3)
         shard = sup.shards[0]
         shard.port = free_port()  # nothing listening
-        chunk = self._hand_built_chunk(sup, 4)
-        behind = chunk.pop()
-        sup._queues[0] = [behind]
+        jobs = self._hand_built_chunk(sup, 4)
+        chunk = sup._take_chunk(0)
+        assert chunk == jobs[:3]
         asyncio.run(sup._forward(shard, chunk))
-        assert all(r.status == "queued" for r in chunk)
-        assert [r.id for r in sup._queues[0]] == [
-            r.id for r in chunk + [behind]
-        ]
+        assert all(r.status == "queued" for r in jobs)
+        assert sup._owned(0, "queued") == jobs
+        assert sup._take_chunk(0) == chunk
         assert shard.breaker.failures == 1
 
     def test_collect_retries_while_shard_marked_up(self, tmp_path):
@@ -313,7 +313,6 @@ class TestSupervisorFailover:
         (record,) = self._hand_built_chunk(sup, 1)
         record.status = "dispatched"
         record.remote_id = "remote-1"
-        sup._inflight[0]["remote-1"] = record
 
         async def drive():
             task = asyncio.ensure_future(sup._collect(shard))
@@ -560,6 +559,40 @@ class TestRouterPipeline:
         ]
         assert not sup.jobs.live
 
+    def test_dispatch_stamps_started_at(self, tmp_path):
+        # GET /jobs/<id> on the router shows when the job left its
+        # queue: started_at lies between submission and finish.
+        from repro.serve.client import http_json
+        from repro.serve.fleet import FleetApp
+
+        sup = self._supervisor(tmp_path)
+        stub = _StubShard(finish_all=True)
+
+        async def scenario():
+            task = await self._run(sup, stub)
+            server = await asyncio.start_server(
+                FleetApp(sup).handle_connection, "127.0.0.1", 0
+            )
+            port = server.sockets[0].getsockname()[1]
+            (record,) = await sup.submit(self._specs(1))
+            await _until(lambda: record.status == "done")
+            reply = await http_json(
+                "127.0.0.1", port, "GET", f"/jobs/{record.id}"
+            )
+            server.close()
+            await server.wait_closed()
+            await self._stop(sup, task, stub)
+            return record, reply
+
+        record, (status, doc) = asyncio.run(scenario())
+        assert status == 200
+        assert doc["started_at"] is not None
+        assert doc["submitted_at"] <= doc["started_at"] <= doc["finished_at"]
+        assert (
+            record.submitted_mono <= record.started_mono
+            <= record.finished_mono
+        )
+
     def test_in_flight_jobs_never_exceed_shard_queue_limit(self, tmp_path):
         sup = self._supervisor(tmp_path, max_batch=2, shard_queue_limit=3)
         stub = _StubShard()
@@ -571,7 +604,7 @@ class TestRouterPipeline:
             await asyncio.sleep(0.1)
             assert len(stub.specs) == 3, "forwarded past the bound"
             assert [len(c["jobs"]) for c in stub.chunks] == [2, 1]
-            assert len(sup._inflight[0]) == 3
+            assert len(sup._owned(0, "dispatched")) == 3
             # Finishing one job frees exactly one slot.
             stub.finish(1)
             await _until(lambda: len(stub.specs) == 4)
@@ -603,7 +636,8 @@ class TestRouterPipeline:
         records, chunk = asyncio.run(scenario())
         assert [r.id for r in chunk] == [r.id for r in records[:3]]
         assert all(r.status == "queued" for r in records)
-        assert [r.id for r in sup._queues[0]] == [r.id for r in records]
+        assert sup._owned(0, "queued") == records
+        assert sup._take_chunk(0) == chunk
 
     def test_shard_death_with_chunks_in_flight_replays_each_job_once(
         self, tmp_path
@@ -617,14 +651,12 @@ class TestRouterPipeline:
         async def scenario():
             task = await self._run(sup, dying)
             records = await sup.submit(self._specs(6))
-            await _until(lambda: len(sup._inflight[0]) == 6)
+            await _until(lambda: len(sup._owned(0, "dispatched")) == 6)
             assert len(dying.chunks) == 3
             sup._on_shard_down(sup.shards[0], "test kill")
-            assert not sup._inflight[0]
+            assert not sup._owned(0, "dispatched")
             assert all(r.status == "queued" for r in records)
-            assert sorted(r.id for r in sup._queues[0]) == sorted(
-                r.id for r in records
-            )
+            assert sup._owned(0, "queued") == records
             # The supervisor restarts the shard on a new port.
             shard = sup.shards[0]
             shard.port = await replacement.start()
@@ -724,7 +756,6 @@ class TestRouterPipeline:
         assert sup.jobs.completed == len(records)
         assert sup.jobs.failed == 0
         assert not sup.jobs.live
-        assert not any(sup._inflight.values())
         assert all(s.journal.live_count == 0 for s in sup.shards)
         assert [r.result for r in records] == [
             {"remote": r.remote_id} for r in records

@@ -165,6 +165,42 @@ class TestJournalSchema:
         assert validate_document(bad)
 
 
+class TestColdStartReplay:
+    def test_unparseable_entry_is_retired_not_left_live(self, tmp_path):
+        # A journal entry whose spec no longer parses is skipped at cold
+        # start; left live, it would keep the journal from ever
+        # truncating again and count a job that does not exist.
+        from repro.obs import OpLogger, read_oplog
+        from repro.serve.fleet import ShardSupervisor
+
+        fleet_dir = tmp_path / "fleet"
+        journal = WriteAheadJournal(str(fleet_dir / "shard-0.journal.jsonl"))
+        journal.admit(job_doc("bad", dict(TINY, benchmark="nope")), 0)
+        journal.admit(job_doc("good"), 0)
+        journal.close()
+        oplog_path = str(tmp_path / "fleet.oplog.jsonl")
+        sup = ShardSupervisor(
+            shards=1, fleet_dir=str(fleet_dir),
+            cache_dir=str(tmp_path / "cache"),
+            oplog=OpLogger(path=oplog_path, component="fleet"),
+        )
+        sup._replay_cold_start()
+        assert list(sup.jobs.live) == ["good"]
+        journal = sup.shards[0].journal
+        assert journal.live_count == 1
+        sup._finish(sup.get("good"), result={"final_cycle": 1})
+        assert journal.live_count == 0
+        assert journal.truncations == 1
+        assert sup.metrics()["fleet"]["journal_live"] == 0
+        journal.close()
+        sup.oplog.close()
+        skips = [
+            event["job_id"] for event in read_oplog(oplog_path)
+            if event["event"] == "journal_skip"
+        ]
+        assert skips == ["bad"]
+
+
 class TestJournalReplayIntegration:
     def test_sigkill_with_live_journal_replays_every_job(self, tmp_path):
         """Kill a shard holding journaled work; nothing may be lost."""

@@ -251,6 +251,7 @@ class TestLegacyGateParity:
         metrics = {
             "round1_failures": 0, "round2_failures": 0,
             "client_mismatches": 0, "round2_hit_rate": 1.0,
+            "cli_submit_exit_code": 0,
             "drain_exit_code": 0, "final_snapshot_written": True,
             "trace_propagation_ok": True,
         }
@@ -273,6 +274,11 @@ class TestLegacyGateParity:
     def test_serve_dirty_drain_fails(self):
         assert evaluate_spec(
             load_spec("serve"), self.serve_manifest(drain_exit_code=143)
+        ).exit_code == 1
+
+    def test_serve_failed_cli_submit_fails(self):
+        assert evaluate_spec(
+            load_spec("serve"), self.serve_manifest(cli_submit_exit_code=1)
         ).exit_code == 1
 
     def test_serve_broken_trace_propagation_fails(self):

@@ -32,6 +32,29 @@ def tiny_spec(**overrides):
     return JobSpec.from_dict(doc)
 
 
+def post_jobs_raw(port, doc, trace_id):
+    """``POST /jobs`` with ``X-Trace-Id``: (status, headers, body doc).
+
+    Header names come back lower-cased; :class:`ServeClient` does not
+    expose response headers, so the header half of the trace-context
+    contract is checked on the wire.
+    """
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(
+            "POST", "/jobs", body=json.dumps(doc),
+            headers={"X-Trace-Id": trace_id,
+                     "Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        headers = {k.lower(): v for k, v in response.getheaders()}
+        return response.status, headers, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 class TestJobSpec:
     def test_round_trips_through_dict(self):
         spec = tiny_spec(protocol="timed_msi", record_latencies=True)
@@ -314,9 +337,9 @@ class TestHTTPServer:
         assert excinfo.value.status == 404
 
     def test_unknown_route_and_method(self, client):
-        status, _, _ = client._request("GET", "/nope")
+        status, _ = client._request("GET", "/nope")
         assert status == 404
-        status, _, _ = client._request("DELETE", "/jobs")
+        status, _ = client._request("DELETE", "/jobs")
         assert status == 405
 
     def test_metrics_over_http(self, client):
@@ -366,9 +389,7 @@ class TestTraceContextOverHTTP:
         )
         assert records[0]["status"] == "done"
         assert records[0]["trace_id"] == supplied  # result envelope
-        status, headers, doc = client._request(
-            "GET", f"/jobs/{records[0]['id']}"
-        )
+        status, doc = client._request("GET", f"/jobs/{records[0]['id']}")
         assert status == 200 and doc["trace_id"] == supplied
         service = traced_server.service
         service.oplog.close()
@@ -384,14 +405,11 @@ class TestTraceContextOverHTTP:
         assert spans, "exported service trace lost the trace id"
 
     def test_response_header_echoes_trace_id(self, traced_server):
-        client = ServeClient(traced_server.base_url, timeout=30.0)
-        status, headers, doc = client._request(
-            "POST", "/jobs", {"jobs": [TINY]},
-            extra_headers={"X-Trace-Id": "my.trace-42"},
+        status, headers, doc = post_jobs_raw(
+            traced_server.port, {"jobs": [TINY]}, "my.trace-42"
         )
         assert status == 202
-        lower = {k.lower(): v for k, v in headers.items()}
-        assert lower["x-trace-id"] == "my.trace-42"
+        assert headers["x-trace-id"] == "my.trace-42"
         assert doc["trace_id"] == "my.trace-42"
         assert all(j["trace_id"] == "my.trace-42" for j in doc["jobs"])
 
@@ -399,7 +417,7 @@ class TestTraceContextOverHTTP:
         from repro.obs import valid_trace_id
 
         client = ServeClient(traced_server.base_url, timeout=30.0)
-        status, headers, doc = client._request(
+        status, doc = client._request(
             "POST", "/jobs", {"jobs": [TINY]},
             extra_headers={"X-Trace-Id": "bad id with spaces"},
         )
@@ -409,21 +427,19 @@ class TestTraceContextOverHTTP:
         assert valid_trace_id(minted)
 
     def test_error_responses_carry_trace_id(self, traced_server):
-        client = ServeClient(traced_server.base_url, timeout=30.0)
-        status, headers, doc = client._request(
-            "POST", "/jobs", {"jobs": [dict(TINY, benchmark="nope")]},
-            extra_headers={"X-Trace-Id": "err-trace"},
+        status, headers, doc = post_jobs_raw(
+            traced_server.port,
+            {"jobs": [dict(TINY, benchmark="nope")]}, "err-trace",
         )
         assert status == 400
         assert doc["trace_id"] == "err-trace"
-        lower = {k.lower(): v for k, v in headers.items()}
-        assert lower["x-trace-id"] == "err-trace"
+        assert headers["x-trace-id"] == "err-trace"
 
     def test_per_job_trace_ids_fall_back_to_the_request(self, traced_server):
         # A forwarded chunk names each job's trace id; a missing or
         # invalid entry takes the request's X-Trace-Id instead.
         client = ServeClient(traced_server.base_url, timeout=30.0)
-        status, _, doc = client._request(
+        status, doc = client._request(
             "POST", "/jobs",
             {"jobs": [TINY, dict(TINY, seed=1), dict(TINY, seed=2)],
              "trace_ids": ["job-a", "bad id"]},
@@ -440,7 +456,7 @@ class TestTraceContextOverHTTP:
 
     def test_non_list_trace_ids_is_a_bad_request(self, traced_server):
         client = ServeClient(traced_server.base_url, timeout=30.0)
-        status, _, doc = client._request(
+        status, doc = client._request(
             "POST", "/jobs", {"jobs": [TINY], "trace_ids": "job-a"},
         )
         assert status == 400
@@ -614,76 +630,35 @@ class TestBatchPolling:
                 client.poll_jobs(ids + ["nope"])
             assert excinfo.value.status == 404
 
-    def test_wait_falls_back_when_batch_endpoint_is_missing(self):
-        # A server that 404s /jobs/poll (an old deployment): wait must
-        # still finish via per-job GETs.
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        class OldServer(BaseHTTPRequestHandler):
-            def _reply(self, status, doc):
-                body = json.dumps(doc).encode()
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_POST(self):
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                self._reply(404, {"error": "no route"})
-
-            def do_GET(self):
-                job_id = self.path.rsplit("/", 1)[-1]
-                self._reply(200, {"id": job_id, "status": "done"})
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), OldServer)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            client = ServeClient(
-                f"http://127.0.0.1:{server.server_address[1]}", timeout=5.0
-            )
-            records = client.wait(["a", "b", "c"], timeout=10.0)
-            assert set(records) == {"a", "b", "c"}
-        finally:
-            server.shutdown()
-
 
 class TestWaitDeadline:
     def test_deadline_is_enforced_inside_one_pass(self):
         # Pre-fix, the deadline was only checked *between* full passes
-        # over the pending list, and each pass issued one blocking GET
-        # per job: 8 pending jobs at 0.15s each meant a 0.4s timeout
-        # returned after ~1.2s.  The fix checks the deadline before
-        # every HTTP round-trip, so the overrun is bounded by one
-        # request, not by the fan-out.
+        # over the pending list: 8 pending jobs polled one per request
+        # at 0.15s each meant a 0.4s timeout returned after ~1.2s.  The
+        # fix checks the deadline before every HTTP round-trip, so the
+        # overrun is bounded by one request, not by the fan-out.
         import threading
         import time as _time
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-        class SlowJobServer(BaseHTTPRequestHandler):
-            def _reply(self, status, doc):
-                body = json.dumps(doc).encode()
-                self.send_response(status)
+        class SlowPollServer(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length", 0))
+                ids = json.loads(self.rfile.read(length))["ids"]
+                _time.sleep(0.15)
+                jobs = {job_id: {"id": job_id, "status": "running"}
+                        for job_id in ids}
+                body = json.dumps({"jobs": jobs, "unknown": []}).encode()
+                self.send_response(200)
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
 
-            def do_POST(self):  # no batch endpoint: force per-job GETs
-                self.rfile.read(int(self.headers.get("Content-Length", 0)))
-                self._reply(404, {"error": "no route"})
-
-            def do_GET(self):
-                _time.sleep(0.15)
-                job_id = self.path.rsplit("/", 1)[-1]
-                self._reply(200, {"id": job_id, "status": "running"})
-
             def log_message(self, *args):
                 pass
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), SlowJobServer)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), SlowPollServer)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
             client = ServeClient(
@@ -692,7 +667,8 @@ class TestWaitDeadline:
             start = _time.monotonic()
             with pytest.raises(TimeoutError) as excinfo:
                 client.wait(
-                    [f"job-{i}" for i in range(8)], timeout=0.4, poll=0.01
+                    [f"job-{i}" for i in range(8)], timeout=0.4, poll=0.01,
+                    poll_batch=1,
                 )
             elapsed = _time.monotonic() - start
         finally:
@@ -702,6 +678,74 @@ class TestWaitDeadline:
             f"wait overran its 0.4s deadline by {elapsed - 0.4:.2f}s — "
             "deadline not enforced inside the polling pass"
         )
+
+
+class TestClientTimeout:
+    def test_timeout_raises_and_is_not_retried(self):
+        # A server that accepts and never answers is slow, not
+        # restarting: the request must fail once, as a TimeoutError,
+        # with no reconnect attempts stretching the wait.
+        import socket
+        import time as _time
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        try:
+            client = ServeClient(
+                f"http://127.0.0.1:{listener.getsockname()[1]}",
+                timeout=0.3, connect_retries=3,
+            )
+            start = _time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.healthz()
+            elapsed = _time.monotonic() - start
+        finally:
+            listener.close()
+        assert elapsed < 1.0
+        assert client.oplog.event_counts.get("client_reconnect", 0) == 0
+
+
+class TestSubmitCli:
+    """``cohort submit`` end to end against a live server."""
+
+    @staticmethod
+    def _submit(capsys, url, *args):
+        """Run ``cohort submit``; ``(exit code, stdout, stderr)``."""
+        from repro.cli import main
+
+        capsys.readouterr()  # drop the server's own banner
+        rc = main(["submit", "--url", url, "--scale", "0.05", *args])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_submit_waits_for_the_result(self, capsys):
+        with ServerThread(runner=SweepRunner(jobs=1, cache_dir=None)) as t:
+            rc, out, _ = self._submit(
+                capsys, t.base_url, "-t", "60", "20", "20", "20"
+            )
+        assert rc == 0
+        assert "accepted " in out and ": done final_cycle=" in out
+
+    def test_no_wait_prints_only_the_acceptance(self, capsys):
+        with ServerThread(runner=SweepRunner(jobs=1, cache_dir=None)) as t:
+            rc, out, _ = self._submit(capsys, t.base_url, "--no-wait")
+        assert rc == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("accepted ")
+
+    def test_full_queue_is_rejected(self, capsys):
+        with ServerThread(
+            runner=SweepRunner(jobs=1, cache_dir=None), queue_limit=1
+        ) as t:
+            rc, out, err = self._submit(
+                capsys, t.base_url, "--max-retries", "0",
+                "--theta-set", "60", "20", "20", "20",
+                "--theta-set", "120", "20", "20", "20",
+            )
+        assert rc == 1
+        assert "rejected: queue full" in err
+        assert "accepted" not in out
 
 
 class _SteppedTime:
